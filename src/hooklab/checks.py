@@ -17,7 +17,6 @@ from fractions import Fraction
 from .harness import Check
 from .multipoly import MultiPoly, RatFunc
 from .partitions import (
-    Partition,
     cell_stats,
     enumerate_sss_cores,
     hook_part_census,
@@ -57,6 +56,7 @@ from .identities import (
     part_marker_rhs_series,
     partition_additive_series,
     partition_product_series,
+    partition_product_sum,
     power_sum_rhs_series,
     rr_count_series,
     rr_product_series,
@@ -357,12 +357,9 @@ def _run_X33(bounds):
 
 def _run_X34(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = RatFunc.coerce(0)
-        for lam in partition_list(n):
-            prod = RatFunc.coerce(Fraction(1))
-            for cs in cell_stats(lam):
-                prod = prod * RatFunc(_T + cs.content) * Fraction(1, cs.hook ** 2)
-            total = total + prod
+        total = partition_product_sum(
+            n, lambda cs, lam: RatFunc(_T + cs.content) * Fraction(1, cs.hook ** 2)
+        )
         if total != RatFunc.coerce(_T ** n * Fraction(1, math.factorial(n))):
             return _bad(f"n={n}: {total.render()}")
     return _ok()
@@ -379,12 +376,7 @@ def _run_X35(bounds):
 
 def _run_X36(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = RatFunc.coerce(0)
-        for lam in partition_list(n):
-            prod = RatFunc.coerce(1)
-            for cs in cell_stats(lam):
-                prod = prod * surd_hook_factor(cs.hook)
-            total = total + prod
+        total = partition_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
         if not total.is_polynomial():
             return _bad(f"n={n}: sum did not reduce to a polynomial: {total.render()}")
         if total != RatFunc.coerce(involution_moment_poly(n)):

@@ -2,16 +2,16 @@
 
 A Check pairs an identity (or family of identities) with default bounds and
 a runner.  Runners are pure: given bounds they either return a verdict or
-raise, and the engine turns both into CheckResult records.  Execution of
-distinct checks is embarrassingly parallel; shared memo tables are warmed
-up front so worker threads only ever read them.
+raise, and the engine turns both into CheckResult records.  Distinct checks
+are independent; every memo table they share is idempotent, so checks run
+on threads at worst compute a cached value twice.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -137,24 +137,6 @@ def run_check(check_id: str, bounds: Mapping[str, int] | None = None) -> CheckRe
     return _execute(check, merged)
 
 
-def warm_shared_tables(max_n: int = 20) -> None:
-    """Fill the memoized tables every runner reads, before any fan-out."""
-    from . import partitions, permstats
-    from .series import gaussian_binomial
-
-    for n in range(max_n + 1):
-        partitions.partition_list(n)
-        permstats.involution_count(n)
-    for n in range(11):
-        permstats.eulerian_A(n)
-        permstats.eulerian_B(n)
-        permstats.bell_number(min(n, 8))
-    for n in range(9):
-        for k in range(9):
-            permstats.stirling2(n, k)
-            gaussian_binomial(n, min(k, n))
-
-
 def run_all(
     budget_seconds: float | None = None, parallelism: int = 1
 ) -> Report:
@@ -166,7 +148,6 @@ def run_all(
     started_at = datetime.now(timezone.utc).isoformat()
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     checks = registry()
-    warm_shared_tables()
 
     def job(check: Check) -> CheckResult:
         if deadline is not None and time.monotonic() > deadline:

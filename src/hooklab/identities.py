@@ -21,7 +21,7 @@ from .partitions import (
     cell_stats,
     partition_list,
 )
-from .permstats import CycleType, cycle_types
+from .permstats import cycle_types
 from .series import (
     TruncatedSeries,
     binomial_poly,

@@ -52,6 +52,27 @@ def _fraction_content(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
+def dense_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b, both dense coefficient lists as dense_coeffs
+    returns them (degree 0 upward, b without trailing zeros).
+
+    The result has no trailing zeros; the remainder of zero is [].
+    """
+    a = list(a)
+    n = len(b) - 1
+    inv = None if b[-1] == 1 else 1 / b[-1]
+    while len(a) > n:
+        lead = a.pop()
+        if inv is not None:
+            lead *= inv
+        off = len(a) - n
+        for i in range(n):
+            a[off + i] -= lead * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
 class MultiPoly:
     """Sparse polynomial over Fraction in the fixed variable set."""
 
@@ -122,11 +143,6 @@ class MultiPoly:
                 if e:
                     used.add(i)
         return tuple(sorted(used))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -437,28 +453,12 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
 def _gcd_univariate(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     a = p.dense_coeffs(name)
     b = q.dense_coeffs(name)
-
-    def strip(v):
-        while v and not v[-1]:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
     while b:
-        if len(b) == 1:
-            a = [Fraction(1)]
-            break
-        # monic remainder step
+        # A monic divisor keeps the remainder's coefficients from growing
+        # and lets dense_rem skip its per-step scaling.
         inv = 1 / b[-1]
         b = [c * inv for c in b]
-        while len(a) >= len(b):
-            lead = a[-1]
-            off = len(a) - len(b)
-            a = [c - lead * b[i - off] if i >= off else c for i, c in enumerate(a)]
-            a = strip(a)
-            if not a:
-                break
-        a, b = b, a
+        a, b = b, dense_rem(a, b)
     i = VAR_INDEX[name]
     out = {}
     for d, c in enumerate(a):

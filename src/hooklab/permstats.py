@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from .errors import NonPolynomialResult
 from .multipoly import MultiPoly, ONE, RatFunc, exact_div
-from .partitions import Partition, partition_list
+from .partitions import partition_list
 from .series import TruncatedSeries, gaussian_binomial, qpoch_poly
 
 
@@ -185,13 +185,6 @@ def eulerian_coeff_B(n: int, k: int) -> int:
 
 
 # ----- q-analogue of type B ----------------------------------------------------
-
-
-def q_exponential(order: int) -> TruncatedSeries:
-    """Series in z whose z^n coefficient is 1/(q;q)_n."""
-    return TruncatedSeries.from_function(
-        "z", order, lambda n: RatFunc(ONE, qpoch_poly(n))
-    )
 
 
 _T = MultiPoly.var("t")

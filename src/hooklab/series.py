@@ -106,11 +106,6 @@ class TruncatedSeries:
     def poly_coefficient(self, n: int) -> MultiPoly:
         return self.coefficient(n).as_poly()
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.var, order, self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -385,9 +380,6 @@ def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int | None, order: int
         j += 1
         fac_deg += q_deg
         fac_coeff = fac_coeff * q_coeff
-    if n is not None and fac_deg > order and j < n:
-        # remaining factors are 1 + O(x^(order+1)); nothing to do
-        pass
     return result
 
 

@@ -9,73 +9,10 @@ small.  No numerics are involved anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MultiPoly
-
-Dense = list  # dense coefficient list, degree 0 upward, no trailing zeros
-
-
-def _strip(p: Dense) -> Dense:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _to_int_primitive(p: Dense) -> Dense:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if not p:
-        return p
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [c.numerator * (den_lcm // c.denominator) for c in p]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return [Fraction(v, g) for v in ints]
-
-
-def _deriv(p: Dense) -> Dense:
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def _rem(a: Dense, b: Dense) -> Dense:
-    a = list(a)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        lead = a[-1] * inv
-        off = len(a) - len(b)
-        for i in range(len(b)):
-            a[off + i] -= lead * b[i]
-        _strip(a)
-        if not a:
-            break
-    return a
-
-
-def _gcd(a: Dense, b: Dense) -> Dense:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _rem(a, b)
-    return _to_int_primitive(a)
-
-
-def _exact_quotient(a: Dense, b: Dense) -> Dense:
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    while len(a) >= len(b):
-        lead = a[-1] / b[-1]
-        off = len(a) - len(b)
-        q[off] = lead
-        for i in range(len(b)):
-            a[off + i] -= lead * b[i]
-        _strip(a)
-        if not a:
-            break
-    return _strip(q)
+from .multipoly import MultiPoly, _fraction_content, dense_rem, exact_div, poly_gcd
 
 
 def _sign(x: Fraction) -> int:
@@ -86,16 +23,6 @@ def _variations(signs) -> int:
     """Sign changes ignoring zeros."""
     cleaned = [s for s in signs if s]
     return sum(1 for u, w in zip(cleaned, cleaned[1:]) if u * w < 0)
-
-
-def _sturm_chain(p: Dense) -> list[Dense]:
-    chain = [p, _deriv(p)]
-    while chain[-1]:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in _to_int_primitive(r)])
-    return chain
 
 
 def _var_at_minus_inf(chain) -> int:
@@ -124,27 +51,26 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
     all_roots_negative refers to the real roots only, so it is vacuously true
     when there are none (e.g. t^2 + 1).
     """
-    dense = _strip(list(p.dense_coeffs(name)))
-    if not dense:
+    dense = p.dense_coeffs(name)
+    if not p:
         raise ValueError("sturm analysis of the zero polynomial")
     if len(dense) == 1:
         return SturmReport(0, True, True)
-    d = _deriv(dense)
-    g = _gcd(dense, d)
-    simple = len(g) == 1
-    squarefree = dense if simple else _exact_quotient(dense, g)
-    chain = _sturm_chain(squarefree)
-    total = _var_at_minus_inf(chain) - _var_at_plus_inf(chain)
-    # roots strictly left of zero: drop a root at the origin first
-    at_zero = squarefree
-    if at_zero[0] == 0:
-        at_zero = at_zero[1:]
-    neg_chain = _sturm_chain(at_zero) if len(at_zero) > 1 else [at_zero]
-    if len(at_zero) <= 1:
-        negatives = 0
-    else:
-        negatives = _var_at_minus_inf(neg_chain) - _var_at_zero(neg_chain)
-    return SturmReport(total, simple, negatives == total)
+    g = poly_gcd(p, p.derivative(name))
+    squarefree = exact_div(p, g)
+    chain = [squarefree.dense_coeffs(name), squarefree.derivative(name).dense_coeffs(name)]
+    while True:
+        r = dense_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        # a positive scale keeps every sign, so the chain stays a Sturm chain
+        c = _fraction_content(r)
+        chain.append([-v / c for v in r])
+    v_minus = _var_at_minus_inf(chain)
+    total = v_minus - _var_at_plus_inf(chain)
+    # V(-inf) - V(0) counts the roots in (-inf, 0]; drop a root at the origin
+    negatives = v_minus - _var_at_zero(chain) - (chain[0][0] == 0)
+    return SturmReport(total, g.is_one(), negatives == total)
 
 
 def unimodal(p: MultiPoly, name: str = "t") -> bool:

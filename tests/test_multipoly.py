@@ -125,6 +125,32 @@ def test_gcd_divides_both(a, b, c):
     assert exact_div(g, c.primitive()) is not None
 
 
+univariate_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=5
+).map(lambda cs: sum((c * T**i for i, c in enumerate(cs)), MultiPoly.const(0)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    univariate_polys.filter(bool),
+    univariate_polys.filter(bool),
+    univariate_polys.filter(bool),
+)
+def test_univariate_gcd_against_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        coeffs = [sympy.Rational(v.numerator, v.denominator) for v in p.dense_coeffs("t")]
+        return sympy.Poly(coeffs[::-1], t, domain="QQ")
+
+    g = poly_gcd(a * c, b * c)
+    theirs = sympy.gcd(to_sympy(a * c), to_sympy(b * c))
+    assert g.degree("t") == theirs.degree()
+    # same gcd up to a rational scale: compare the monic forms
+    assert to_sympy(g).monic() == theirs.monic()
+
+
 def test_render_readable():
     p = T**2 - 2 * T * Q + 1
     s = p.render()

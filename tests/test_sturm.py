@@ -127,3 +127,33 @@ def test_hook_square_root_census_against_sympy():
     assert census[9] == (9, 9)
     # the only non-real-rooted P_n up to n = 12: one conjugate pair each
     assert {n: c for n, c in census.items() if c[0] != c[1]} == {10: (8, 10), 12: (10, 12)}
+
+
+# (t - r)^m with m <= 3 (r = 0 included), or t^2 + b t + c with b^2 < 4c.
+_linear_power = st.tuples(
+    st.fractions(min_value=-6, max_value=6, max_denominator=3), st.integers(1, 3)
+).map(lambda rm: (T - MultiPoly.const(rm[0])) ** rm[1])
+_quadratic = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(
+    lambda bk: T**2 + bk[0] * T + (bk[0] * bk[0] // 4 + bk[1])
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.one_of(_linear_power, _quadratic), min_size=1, max_size=5),
+    st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(5, 7)]),
+)
+def test_sturm_report_against_sympy(factors, scale):
+    sympy = pytest.importorskip("sympy")
+    p = MultiPoly.const(scale)
+    for f in factors:
+        p = p * f
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.dense_coeffs("t"))]
+    theirs = sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ")
+    rep = sturm_analysis(p, "t")
+    real = theirs.count_roots()
+    # count_roots(None, 0) counts the closed interval (-inf, 0]
+    negatives = theirs.count_roots(None, 0) - (theirs.eval(0) == 0)
+    assert rep.real_root_count == real
+    assert rep.all_roots_simple == (theirs.sqf_part().degree() == theirs.degree())
+    assert rep.all_roots_negative == (negatives == real)
