@@ -980,10 +980,10 @@ def build_registry() -> list[Check]:
         ("C9.7", "square-count classes partition the partition set",
          "9.7", {"max_n": 14}, _run_C97),
         ("C11.1", "count of simultaneous-core partitions via Catalan sums",
-         "11.1", {"max_s": 6}, _run_C111),
+         "11.1", {"max_s": 6}, _run_C111, {"max_s": 1}),
         ("C11.2", "largest simultaneous core via the piecewise cubic formula",
-         "11.2", {"max_s": 6}, _run_C112),
+         "11.2", {"max_s": 6}, _run_C112, {"max_s": 1}),
         ("C11.3", "total size of simultaneous cores via a Catalan double sum",
-         "11.3", {"max_s": 6}, _run_C113),
+         "11.3", {"max_s": 6}, _run_C113, {"max_s": 1}),
     ]
     return [Check(*row) for row in table]

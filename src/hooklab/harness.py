@@ -1,17 +1,17 @@
 """Check registry and execution engine.
 
-A Check pairs an identity (or family of identities) with default bounds and
-a runner.  Runners are pure: given bounds they either return a verdict or
-raise, and the engine turns both into CheckResult records.  Distinct checks
-are independent; every memo table they share is idempotent, so checks run
-on threads at worst compute a cached value twice.
+A Check pairs an identity (or family of identities) with default bounds,
+optional bound minimums and a runner.  Runners are pure: given bounds they
+either return a verdict or raise, and the engine turns both into CheckResult
+records.  Distinct checks are independent; every memo table they share is
+idempotent, so checks run on threads at worst compute a cached value twice.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -32,6 +32,7 @@ class Check:
     location: str
     default_bounds: dict[str, int]
     runner: Runner
+    min_bounds: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,9 @@ def run_check(check_id: str, bounds: Mapping[str, int] | None = None) -> CheckRe
                     f"{check_id} has no bound {k!r}; knobs: {sorted(merged)}"
                 )
             merged[k] = int(v)
+    for k, low in check.min_bounds.items():
+        if merged[k] < low:
+            raise UnknownCheck(f"{check_id} needs {k} >= {low}, got {merged[k]}")
     return _execute(check, merged)
 
 

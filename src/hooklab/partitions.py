@@ -393,51 +393,46 @@ def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
     return Partition([b - (L - idx) for idx, b in enumerate(desc, start=1)])
 
 
-def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 5_000_000) -> CoreFamily:
+def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> CoreFamily:
     """All partitions that are simultaneously s-, (s+1)- and (s+2)-cores.
 
-    method="beta" walks first-column hook sets directly: such sets are the
-    subsets of the numerical-semigroup gaps of <s, s+1> that stay closed
-    under subtracting s, s+1 and s+2.  Complete by construction and fast.
+    method="beta" walks first-column hook sets: the subsets of the gaps of
+    <s, s+1> closed under subtracting s, s+1 and s+2, i.e. the order ideals
+    of the gap poset.  An iterative depth-first walk over the gaps in
+    ascending order may always skip a gap and takes one only when the gaps
+    below it by s, s+1 and s+2 are taken, so it reaches each closed set
+    exactly once and nothing else.  `budget` caps the number of cores found.
 
     method="filter" brute-forces every partition of every n up to the exact
     (s, s+1)-core size bound and keeps the triple cores; transparently
-    correct, used to cross-validate the beta walk at small s.
+    correct, used to cross-validate the beta walk at small s.  `budget` caps
+    the partitions scanned.  Either method raises BoundOverflow past it.
     """
     if s < 1:
         raise ValueError("s must be positive")
+    members = []
     if method == "beta":
         gaps = _semigroup_gaps(s)
-        if 2 ** len(gaps) > budget:
-            raise BoundOverflow(
-                f"beta enumeration needs 2^{len(gaps)} subset tests, over budget {budget}"
-            )
         steps = (s, s + 1, s + 2)
-        members = []
-        m = len(gaps)
-        for mask in range(1 << m):
-            chosen = [gaps[i] for i in range(m) if mask >> i & 1]
-            cset = set(chosen)
-            ok = True
-            for bval in chosen:
-                for st in steps:
-                    if bval >= st and (bval - st) not in cset:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                members.append(_partition_from_beta(tuple(chosen)))
-        members.sort(key=lambda p: (p.n, tuple(-x for x in p.parts)))
-        return CoreFamily(s, tuple(members))
-    if method == "filter":
+        stack = [(0, ())]
+        while stack:
+            i, chosen = stack.pop()
+            if i == len(gaps):
+                if len(members) == budget:
+                    raise BoundOverflow(f"beta walk found over {budget} cores at s={s}")
+                members.append(_partition_from_beta(chosen))
+                continue
+            g = gaps[i]
+            stack.append((i + 1, chosen))
+            if all(g < st or g - st in chosen for st in steps):
+                stack.append((i + 1, chosen + (g,)))
+    elif method == "filter":
         bound = sss_core_size_bound(s)
         total = sum(partition_count(k) for k in range(bound + 1))
         if total > budget:
             raise BoundOverflow(
                 f"filter enumeration would scan {total} partitions, over budget {budget}"
             )
-        members = []
         for size in range(bound + 1):
             for lam in partitions_of(size):
                 if (
@@ -446,6 +441,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 5_000_000) -
                     and is_t_core(lam, s + 2)
                 ):
                     members.append(lam)
-        members.sort(key=lambda p: (p.n, tuple(-x for x in p.parts)))
-        return CoreFamily(s, tuple(members))
-    raise ValueError(f"unknown enumeration method {method!r}")
+    else:
+        raise ValueError(f"unknown enumeration method {method!r}")
+    members.sort(key=lambda p: (p.n, tuple(-x for x in p.parts)))
+    return CoreFamily(s, tuple(members))

@@ -98,6 +98,7 @@ def test_out_writes_file(tmp_path, capsys):
         ["run", "--id", "L1.1", "--budget-seconds", "5"],
         ["run", "--all", "--bound", "max_n=4"],
         ["frobnicate"],
+        ["run", "--id", "C11.1", "--bound", "max_s=0"],
     ],
 )
 def test_usage_errors_exit_three(capsys, argv):

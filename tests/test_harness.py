@@ -55,6 +55,26 @@ def test_run_check_unknown_bound():
         run_check("L1.1", {"frobnication": 3})
 
 
+def test_bound_minimums_are_met_by_defaults():
+    for c in registry():
+        for k, low in c.min_bounds.items():
+            assert c.default_bounds[k] >= low
+
+
+@pytest.mark.parametrize("cid", ["C11.1", "C11.2", "C11.3"])
+def test_core_checks_reject_empty_range(cid):
+    for max_s in (0, -3):
+        with pytest.raises(UnknownCheck, match="max_s >= 1"):
+            run_check(cid, {"max_s": max_s})
+    assert run_check(cid, {"max_s": 1}).status == "verified"
+
+
+@pytest.mark.parametrize("cid", ["C11.1", "C11.2", "C11.3"])
+def test_core_checks_verified_past_the_old_subset_budget(cid):
+    result = run_check(cid, {"max_s": 10})
+    assert result.status == "verified", result.notes
+
+
 def test_bound_override_merging():
     base = run_check("C2.1", {"max_n": 6})
     assert base.status == "verified"

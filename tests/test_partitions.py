@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hooklab.errors import BoundOverflow
 from hooklab.partitions import (
     Partition,
+    _partition_from_beta,
+    _semigroup_gaps,
     cell_stats,
     enumerate_sss_cores,
     hook_part_census,
@@ -188,7 +190,7 @@ def test_sss_core_counts_and_extremes():
 
 
 def test_sss_core_members_really_are_cores():
-    for s in range(1, 7):
+    for s in range(1, 10):
         fam = enumerate_sss_cores(s)
         assert len(set(fam.members)) == fam.count
         for lam in fam.members:
@@ -220,3 +222,44 @@ def test_enumerate_rejects_bad_input():
         enumerate_sss_cores(3, method="magic")
     with pytest.raises(BoundOverflow):
         enumerate_sss_cores(40, budget=10)
+
+
+def _subset_mask_cores(s):
+    """Every subset of the gaps of <s, s+1>, kept when closed under s, s+1, s+2."""
+    gaps = _semigroup_gaps(s)
+    members = []
+    for mask in range(1 << len(gaps)):
+        chosen = [g for i, g in enumerate(gaps) if mask >> i & 1]
+        if all(b < st or b - st in chosen for b in chosen for st in (s, s + 1, s + 2)):
+            members.append(_partition_from_beta(tuple(chosen)))
+    members.sort(key=lambda p: (p.n, tuple(-x for x in p.parts)))
+    return tuple(members)
+
+
+def test_beta_walk_equals_subset_mask_oracle_member_for_member():
+    for s in range(1, 7):
+        assert enumerate_sss_cores(s).members == _subset_mask_cores(s)
+
+
+def _motzkin(upto):
+    # (n+3) M_{n+1} = (2n+3) M_n + 3n M_{n-1}, M_0 = M_1 = 1
+    m = [1, 1]
+    for n in range(1, upto):
+        m.append(((2 * n + 3) * m[n] + 3 * n * m[n - 1]) // (n + 3))
+    return m
+
+
+def test_sss_core_counts_are_motzkin_numbers():
+    motzkin = _motzkin(12)
+    assert motzkin[:8] == [1, 1, 2, 4, 9, 21, 51, 127]
+    for s in range(1, 13):
+        assert enumerate_sss_cores(s).count == motzkin[s]
+
+
+def test_beta_walk_budget_caps_cores_found():
+    assert enumerate_sss_cores(4, budget=9).count == 9
+    with pytest.raises(BoundOverflow):
+        enumerate_sss_cores(4, budget=8)
+    # 990 gaps: the walk must not recurse once per gap
+    with pytest.raises(BoundOverflow):
+        enumerate_sss_cores(45, budget=10)
