@@ -894,7 +894,7 @@ def build_registry() -> list[Check]:
         ("L1.1", "doubling and type-interleaving recurrences for descent polynomials",
          "1.1", {"max_n": 10}, _run_L11),
         ("L1.2", "binomial bridge between signed and doubled descent counts",
-         "1.2", {"max_ab": 10}, _run_L12),
+         "1.2", {"max_ab": 10}, _run_L12, {"max_ab": 2}),
         ("L1.3", "descent polynomials from surjection counts",
          "1.3", {"max_n": 10}, _run_L13),
         ("D1.5", "q-descent polynomials: polynomiality, series route, q=1 limit",
@@ -902,7 +902,7 @@ def build_registry() -> list[Check]:
         ("L1.7", "palindromic symmetry of q-descent coefficients",
          "1.7", {"max_n": 6}, _run_L17),
         ("C1.8", "symmetric q-binomial relation between doubled descent counts",
-         "1.8", {"max_alpha": 8}, _run_C18),
+         "1.8", {"max_alpha": 8}, _run_C18, {"max_alpha": 2}),
         ("C2.1", "four expressions for the shifted hook-square partition sum",
          "2.1", {"max_n": 16, "eta_order": 12}, _run_C21),
         ("C2.2a", "real, simple, negative roots of the hook-square polynomials",
@@ -946,7 +946,7 @@ def build_registry() -> list[Check]:
         ("C6.2b", "orthogonal content product as a six-block product",
          "6.2(b)", {"order": 12}, _run_C62b),
         ("C6.2c", "content-over-hook sum at t=0 as an alternating product",
-         "6.2(c)", {"order": 12}, _run_C62c),
+         "6.2(c)", {"order": 12}, _run_C62c, {"order": 2}),
         ("C6.3a", "squared-content variants share one closed product form",
          "6.3(a)", {"order": 12}, _run_C63a),
         ("C6.3b", "squared-content specialization at t=0",
@@ -966,7 +966,7 @@ def build_registry() -> list[Check]:
         ("T9.0", "gap-2 partitions vs residue-restricted partitions and their series",
          "9", {"max_n": 20, "order": 16}, _run_T90),
         ("P9.1", "first-hook marker over gap-2 partitions as a sparse q-sum",
-         "9.1", {"order": 12}, _run_P91),
+         "9.1", {"order": 12}, _run_P91, {"order": 4}),
         ("P9.2", "first-hook marker over all partitions: two sparse q-sums",
          "9.2", {"order": 12}, _run_P92),
         ("L9.3", "diagonal hooks map onto gap-2 partitions",
@@ -976,14 +976,14 @@ def build_registry() -> list[Check]:
         ("T9.5ii", "square-count polynomial: value and derivative at 1",
          "9.5(ii)", {"max_n": 14}, _run_T95ii),
         ("T9.5iii", "square-count generating function as a sparse double series",
-         "9.5(iii)", {"order": 14}, _run_T95iii),
+         "9.5(iii)", {"order": 14}, _run_T95iii, {"order": 2}),
         ("C9.7", "square-count classes partition the partition set",
          "9.7", {"max_n": 14}, _run_C97),
         ("C11.1", "count of simultaneous-core partitions via Catalan sums",
-         "11.1", {"max_s": 6}, _run_C111, {"max_s": 1}),
+         "11.1", {"max_s": 6}, _run_C111),
         ("C11.2", "largest simultaneous core via the piecewise cubic formula",
-         "11.2", {"max_s": 6}, _run_C112, {"max_s": 1}),
+         "11.2", {"max_s": 6}, _run_C112),
         ("C11.3", "total size of simultaneous cores via a Catalan double sum",
-         "11.3", {"max_s": 6}, _run_C113, {"max_s": 1}),
+         "11.3", {"max_s": 6}, _run_C113),
     ]
     return [Check(*row) for row in table]

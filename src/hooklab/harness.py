@@ -1,10 +1,11 @@
 """Check registry and execution engine.
 
 A Check pairs an identity (or family of identities) with default bounds,
-optional bound minimums and a runner.  Runners are pure: given bounds they
-either return a verdict or raise, and the engine turns both into CheckResult
-records.  Distinct checks are independent; every memo table they share is
-idempotent, so checks run on threads at worst compute a cached value twice.
+bound minimums (1 for every knob it does not list) and a runner.  Runners
+are pure: given bounds they either return a verdict or raise, and the engine
+turns both into CheckResult records.  Distinct checks are independent;
+every memo table they share is idempotent, so checks run on threads at worst
+compute a cached value twice.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def run_check(check_id: str, bounds: Mapping[str, int] | None = None) -> CheckRe
                     f"{check_id} has no bound {k!r}; knobs: {sorted(merged)}"
                 )
             merged[k] = int(v)
-    for k, low in check.min_bounds.items():
-        if merged[k] < low:
-            raise UnknownCheck(f"{check_id} needs {k} >= {low}, got {merged[k]}")
+    for k, v in merged.items():
+        low = check.min_bounds.get(k, 1)
+        if v < low:
+            raise UnknownCheck(f"{check_id} needs {k} >= {low}, got {v}")
     return _execute(check, merged)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
-from .multipoly import MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, VAR_INDEX
+from .multipoly import MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO
 from .partitions import (
     CellStats,
     Partition,
@@ -230,7 +230,7 @@ def _qpoch_xq_series(k: int, order: int) -> TruncatedSeries:
     return pochhammer(a, step, k, order)
 
 
-def rr_q_series(kind: str, order: int, q_order: int | None = None) -> TruncatedSeries:
+def rr_q_series(kind: str, order: int) -> TruncatedSeries:
     """Sparse q-series sides of the square/first-hook identities.
 
     kind="prop91":      sum_{k>=1} x^(k^2) q^(3k-2) / (qx;x)_k
@@ -240,27 +240,7 @@ def rr_q_series(kind: str, order: int, q_order: int | None = None) -> TruncatedS
                          coefficient is 1 (the printed double sum gives 0).
     kind="thm95":       sum_{k>=0} x^(k^2) q^(k(k+1)(2k+1)/6)
                                      / prod_{j=1..k} (1 - x^j q^(j(j+1)/2))^2
-
-    q_order, when given, drops q-powers above it from every coefficient;
-    None keeps the coefficients exact (their q-degree is already bounded by
-    the x-order for all four kinds).
     """
-    result = _rr_q_series_full(kind, order)
-    if q_order is None:
-        return result
-    trimmed = []
-    for c in result.coeffs:
-        poly = c.as_poly()
-        kept = {
-            exp: v
-            for exp, v in poly.terms.items()
-            if exp[VAR_INDEX["q"]] <= q_order
-        }
-        trimmed.append(RatFunc.coerce(MultiPoly(kept)))
-    return TruncatedSeries("x", order, trimmed)
-
-
-def _rr_q_series_full(kind: str, order: int) -> TruncatedSeries:
     q = MultiPoly.var("q")
     if kind == "prop91":
         total = TruncatedSeries.zero("x", order)

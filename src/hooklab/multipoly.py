@@ -76,7 +76,7 @@ def dense_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 class MultiPoly:
     """Sparse polynomial over Fraction in the fixed variable set."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
         # Constraint: stored terms never map to zero.
@@ -87,7 +87,6 @@ class MultiPoly:
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
-        self._hash = None
 
     # ----- constructors -------------------------------------------------
 
@@ -123,7 +122,7 @@ class MultiPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {ZERO_EXP: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(ZERO_EXP) == 1
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
@@ -181,7 +180,6 @@ class MultiPoly:
                     del out[exp]
         r = MultiPoly.__new__(MultiPoly)
         r.terms = out
-        r._hash = None
         return r
 
     __radd__ = __add__
@@ -189,7 +187,6 @@ class MultiPoly:
     def __neg__(self):
         r = MultiPoly.__new__(MultiPoly)
         r.terms = {exp: -c for exp, c in self.terms.items()}
-        r._hash = None
         return r
 
     def __sub__(self, other):
@@ -215,7 +212,6 @@ class MultiPoly:
             c = p.constant_term()
             r = MultiPoly.__new__(MultiPoly)
             r.terms = {exp: v * c for exp, v in self.terms.items()}
-            r._hash = None
             return r
         if self.is_constant():
             return p * self.constant_term()
@@ -234,7 +230,6 @@ class MultiPoly:
                         del out[exp]
         r = MultiPoly.__new__(MultiPoly)
         r.terms = out
-        r._hash = None
         return r
 
     __rmul__ = __mul__
@@ -267,9 +262,7 @@ class MultiPoly:
         return self.terms == p.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

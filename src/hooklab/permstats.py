@@ -121,10 +121,7 @@ def involution_count(n: int) -> int:
 
 def involution_egf(order: int, var: str = "z") -> TruncatedSeries:
     """exp(z + z^2/2), the exponential generating series of involutions."""
-    seed = TruncatedSeries.from_terms(
-        var, order, [(1, 1), (2, Fraction(1, 2))] if order >= 2 else [(1, 1)]
-    )
-    return seed.exp()
+    return TruncatedSeries(var, order, [0, 1, Fraction(1, 2)]).exp()
 
 
 def involution_trace_moment(n: int, k: int) -> int:
@@ -246,8 +243,8 @@ def q_eulerian_B_reference(n: int) -> MultiPoly:
         raise ValueError("q-Eulerian B_n needs n >= 1")
 
     def e_scaled(scale: MultiPoly) -> TruncatedSeries:
-        return TruncatedSeries.from_function(
-            "z", n, lambda m: RatFunc(scale**m, qpoch_poly(m))
+        return TruncatedSeries(
+            "z", n, [RatFunc(scale**m, qpoch_poly(m)) for m in range(n + 1)]
         )
 
     e1 = e_scaled(ONE)

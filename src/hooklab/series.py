@@ -15,22 +15,13 @@ in the exponent's variables, which several checks rely on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import BadConstantTerm, DivisionByNonUnit
-from .multipoly import (
-    ONE,
-    VAR_INDEX,
-    ZERO,
-    MultiPoly,
-    RatFunc,
-    RF_ZERO,
-)
-
-
-def _rf(value) -> RatFunc:
-    return RatFunc.coerce(value)
+from .multipoly import ONE, VARIABLES, ZERO, MultiPoly, RatFunc, RF_ZERO
 
 
 class TruncatedSeries:
@@ -41,16 +32,14 @@ class TruncatedSeries:
     def __init__(self, var: str, order: int, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        padded = [_rf(c) for c in coeffs][: order + 1]
+        padded = [RatFunc.coerce(c) for c in coeffs][: order + 1]
         padded += [RF_ZERO] * (order + 1 - len(padded))
-        if var in VAR_INDEX:
-            idx = VAR_INDEX[var]
+        if var in VARIABLES:
             for c in padded:
-                for exp in list(c.num.terms) + list(c.den.terms):
-                    if exp[idx]:
-                        raise ValueError(
-                            f"coefficient of a series in {var} must not involve {var}"
-                        )
+                if c.num.degree(var) > 0 or c.den.degree(var) > 0:
+                    raise ValueError(
+                        f"coefficient of a series in {var} must not involve {var}"
+                    )
         self.var = var
         self.order = order
         self.coeffs = tuple(padded)
@@ -72,20 +61,8 @@ class TruncatedSeries:
             raise ValueError("monomial degree must be nonnegative")
         coeffs = [RF_ZERO] * (order + 1)
         if deg <= order:
-            coeffs[deg] = _rf(coeff)
+            coeffs[deg] = RatFunc.coerce(coeff)
         return TruncatedSeries(var, order, coeffs)
-
-    @staticmethod
-    def from_terms(var: str, order: int, terms: Iterable[tuple[int, object]]):
-        coeffs = [RF_ZERO] * (order + 1)
-        for deg, c in terms:
-            if 0 <= deg <= order:
-                coeffs[deg] = coeffs[deg] + _rf(c)
-        return TruncatedSeries(var, order, coeffs)
-
-    @staticmethod
-    def from_function(var: str, order: int, f: Callable[[int], object]):
-        return TruncatedSeries(var, order, [f(n) for n in range(order + 1)])
 
     @staticmethod
     def from_poly(p: MultiPoly, name: str, var: str, order: int) -> TruncatedSeries:
@@ -93,7 +70,7 @@ class TruncatedSeries:
         coeffs = [RF_ZERO] * (order + 1)
         for deg, c in p.as_univariate(name).items():
             if deg <= order:
-                coeffs[deg] = _rf(c)
+                coeffs[deg] = RatFunc.coerce(c)
         return TruncatedSeries(var, order, coeffs)
 
     # ----- access ---------------------------------------------------------
@@ -154,7 +131,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            c = _rf(other)
+            c = RatFunc.coerce(other)
             out = TruncatedSeries.__new__(TruncatedSeries)
             out.var, out.order = self.var, self.order
             out.coeffs = tuple(a * c for a in self.coeffs)
@@ -183,7 +160,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            c = _rf(other)
+            c = RatFunc.coerce(other)
             if c.is_zero():
                 raise ZeroDivisionError("series divided by zero scalar")
             return self * (RatFunc(ONE) / c)
@@ -212,21 +189,6 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        if n < 0:
-            return TruncatedSeries.const(1, self.var, self.order) / self ** (-n)
-        result = TruncatedSeries.const(1, self.var, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -311,7 +273,7 @@ def geometric(var: str, order: int, deg: int = 1, coeff=1) -> TruncatedSeries:
     """1/(1 - coeff*var^deg) expanded directly (no division needed)."""
     if deg < 1:
         raise ValueError("geometric factor needs degree >= 1")
-    c = _rf(coeff)
+    c = RatFunc.coerce(coeff)
     coeffs = [RF_ZERO] * (order + 1)
     power = RatFunc(ONE)
     k = 0
@@ -326,7 +288,7 @@ def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
     """log(1 - coeff*var^deg) = -sum coeff^m var^(deg m)/m."""
     if deg < 1:
         raise ValueError("log expansion needs degree >= 1")
-    c = _rf(coeff)
+    c = RatFunc.coerce(coeff)
     coeffs = [RF_ZERO] * (order + 1)
     power = c
     m = 1
@@ -343,17 +305,15 @@ def binomial_series(exponent, var: str, order: int, deg: int = 1, coeff=1):
     The exponent may be any polynomial (or rational constant); coefficients of
     the result are polynomials in the exponent's variables.
     """
-    e = _rf(exponent)
+    e = RatFunc.coerce(exponent)
     return (log_one_minus(var, order, deg, coeff) * (-e)).exp()
 
 
-def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int | None, order: int):
+def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int, order: int):
     """Truncated q-Pochhammer (a; q)_n = prod_{j<n} (1 - a*q^j).
 
-    `a` and `q` must be monomial series in the same variable.  n=None means
-    the infinite product; factors whose degree exceeds the order are dropped,
-    which is exact at this truncation.  The infinite form needs q to have
-    positive degree so that only finitely many factors matter.
+    `a` and `q` must be monomial series in the same variable.  Factors whose
+    degree exceeds the order are dropped, which is exact at this truncation.
     """
     a._check_compatible(q)
     var = a.var
@@ -366,13 +326,11 @@ def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int | None, order: int
 
     a_deg, a_coeff = mono(a)
     q_deg, q_coeff = mono(q)
-    if n is None and q_deg == 0:
-        raise ValueError("infinite pochhammer needs the step to raise the degree")
     result = TruncatedSeries.const(1, var, order)
     j = 0
     fac_coeff = a_coeff
     fac_deg = a_deg
-    while (n is None or j < n) and fac_deg <= order:
+    while j < n and fac_deg <= order:
         factor = TruncatedSeries.const(1, var, order) - TruncatedSeries.monomial(
             var, order, fac_deg, fac_coeff
         )
@@ -386,42 +344,33 @@ def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int | None, order: int
 # ----- q-polynomials ----------------------------------------------------------
 
 
-def qpoch_poly(n: int, name: str = "q") -> MultiPoly:
-    """(q; q)_n as an exact polynomial in the coefficient variable `name`."""
+def qpoch_poly(n: int) -> MultiPoly:
+    """(q; q)_n as an exact polynomial in q."""
     if n < 0:
         raise ValueError("qpoch_poly needs n >= 0")
-    v = MultiPoly.var(name)
+    q = MultiPoly.var("q")
     result = ONE
     for j in range(1, n + 1):
-        result = result * (ONE - v ** j)
+        result = result * (ONE - q ** j)
     return result
 
 
-_GAUSS_CACHE: dict[tuple[int, int, str], MultiPoly] = {}
+@lru_cache(maxsize=None)
+def gaussian_binomial(n: int, k: int) -> MultiPoly:
+    """Gaussian binomial coefficient [n, k] as a polynomial in q.
 
-
-def gaussian_binomial(n: int, k: int, name: str = "q") -> MultiPoly:
-    """Gaussian binomial coefficient as a polynomial in `name`.
-
-    Computed as the exact quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}); out-of-range
-    (k < 0 or k > n) gives the zero polynomial.
+    Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k], so no
+    division is needed; out-of-range k (k < 0 or k > n) gives the zero
+    polynomial.  A cold call recurses n levels deep; every caller asks for
+    rows in ascending n, so each call finds row n-1 already cached.
     """
     if k < 0 or k > n:
         return ZERO
-    k = min(k, n - k)
-    key = (n, k, name)
-    hit = _GAUSS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    from .multipoly import exact_div
-
-    num = qpoch_poly(n, name)
-    den = qpoch_poly(k, name) * qpoch_poly(n - k, name)
-    q = exact_div(num, den)
-    if q is None:
-        raise ArithmeticError("gaussian binomial division was not exact")
-    _GAUSS_CACHE[key] = q
-    return q
+    if k == 0 or k == n:
+        return ONE
+    return gaussian_binomial(n - 1, k - 1) + MultiPoly.var("q", k) * gaussian_binomial(
+        n - 1, k
+    )
 
 
 def binomial_poly(p: MultiPoly, k: int) -> MultiPoly:
@@ -431,30 +380,7 @@ def binomial_poly(p: MultiPoly, k: int) -> MultiPoly:
     result = ONE
     for i in range(k):
         result = result * (p - i)
-    return result / Fraction(__import__("math").factorial(k))
-
-
-def eta_factor_series(order: int, var: str, stride: int, offset: int,
-                      neg_exponent, plus: bool = False) -> TruncatedSeries:
-    """log of prod_{j>=1} (1 -+ var^(stride*j - offset))^(-neg_exponent).
-
-    Returns the log-series; callers sum several of these and exp once.
-    `plus` switches the factor to (1 + var^e)^(-neg_exponent).
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    e_rf = _rf(neg_exponent)
-    total = TruncatedSeries.zero(var, order)
-    j = 1
-    while True:
-        deg = stride * j - offset
-        if deg > order:
-            break
-        if deg >= 1:
-            lg = log_one_minus(var, order, deg, -1 if plus else 1)
-            total = total + lg * (-e_rf)
-        j += 1
-    return total
+    return result / Fraction(math.factorial(k))
 
 
 def eta_product(factors, order: int, var: str = "x") -> TruncatedSeries:
@@ -462,14 +388,17 @@ def eta_product(factors, order: int, var: str = "x") -> TruncatedSeries:
     prod_{j>=1} (1 - var^(stride*j - offset))^(-exponent).
 
     Exponents may be polynomials.  A factor tuple may carry a fourth, boolean
-    entry selecting (1 + ...) instead of (1 - ...).
+    entry selecting (1 + ...) instead of (1 - ...).  The logs of all factors
+    are summed and exponentiated once.
     """
     total = TruncatedSeries.zero(var, order)
     for fac in factors:
-        if len(fac) == 3:
-            stride, offset, expo = fac
-            plus = False
-        else:
-            stride, offset, expo, plus = fac
-        total = total + eta_factor_series(order, var, stride, offset, expo, plus)
+        stride, offset, expo = fac[:3]
+        plus = len(fac) > 3 and fac[3]
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        neg_e = -RatFunc.coerce(expo)
+        for deg in range(stride - offset, order + 1, stride):
+            if deg >= 1:
+                total = total + log_one_minus(var, order, deg, -1 if plus else 1) * neg_e
     return total.exp()

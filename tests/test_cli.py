@@ -99,6 +99,7 @@ def test_out_writes_file(tmp_path, capsys):
         ["run", "--all", "--bound", "max_n=4"],
         ["frobnicate"],
         ["run", "--id", "C11.1", "--bound", "max_s=0"],
+        ["run", "--id", "X3.4", "--bound", "max_n=0"],
     ],
 )
 def test_usage_errors_exit_three(capsys, argv):

@@ -57,8 +57,34 @@ def test_run_check_unknown_bound():
 
 def test_bound_minimums_are_met_by_defaults():
     for c in registry():
-        for k, low in c.min_bounds.items():
-            assert c.default_bounds[k] >= low
+        assert set(c.min_bounds) <= set(c.default_bounds)
+        for k, v in c.default_bounds.items():
+            assert v >= c.min_bounds.get(k, 1)
+
+
+# Knobs whose floor is above 1: at 1 they check an empty range or crash.
+RAISED_FLOORS = {
+    ("L1.2", "max_ab"): 2,
+    ("C1.8", "max_alpha"): 2,
+    ("C6.2c", "order"): 2,
+    ("T9.5iii", "order"): 2,
+    ("P9.1", "order"): 4,
+}
+
+KNOBS = [(c.id, k) for c in registry() for k in c.default_bounds]
+
+
+@pytest.mark.parametrize("cid,knob", KNOBS)
+def test_every_knob_is_rejected_below_its_floor(cid, knob):
+    low = RAISED_FLOORS.get((cid, knob), 1)
+    with pytest.raises(UnknownCheck, match=f"needs {knob} >= {low}"):
+        run_check(cid, {knob: low - 1})
+
+
+@pytest.mark.parametrize("cid,knob", KNOBS)
+def test_every_knob_gives_a_verdict_at_its_floor(cid, knob):
+    result = run_check(cid, {knob: RAISED_FLOORS.get((cid, knob), 1)})
+    assert result.status in ("verified", "refuted"), result.notes
 
 
 @pytest.mark.parametrize("cid", ["C11.1", "C11.2", "C11.3"])

@@ -164,17 +164,6 @@ def test_rr_q_series_against_enumeration():
     assert prop91.poly_coefficient(1) == Q
 
 
-def test_rr_q_series_q_order_trim():
-    full = rr_q_series("prop92_middle", 8)
-    trimmed = rr_q_series("prop92_middle", 8, q_order=2)
-    for n in range(9):
-        t = trimmed.poly_coefficient(n)
-        assert all(e <= 2 for e in t.as_univariate("q"))
-        for e, c in full.poly_coefficient(n).as_univariate("q").items():
-            if e <= 2:
-                assert t.coeff_of("q", e) == c
-
-
 def test_rr_q_series_rejects_unknown_kind():
     with pytest.raises(ValueError):
         rr_q_series("nope", 5)

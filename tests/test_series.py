@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooklab.errors import BadConstantTerm, DivisionByNonUnit
-from hooklab.multipoly import MultiPoly, RatFunc
+from hooklab.multipoly import MultiPoly, RatFunc, exact_div
 from hooklab.partitions import partition_count, partition_list
 from hooklab.series import (
     TruncatedSeries,
@@ -79,6 +79,16 @@ def test_exp_requires_zero_constant_term():
         from_ints([1, 1]).exp()
     with pytest.raises(BadConstantTerm):
         from_ints([0, 1]).log()
+
+
+def test_coefficients_must_not_involve_the_series_variable():
+    z = MultiPoly.var("z")
+    with pytest.raises(ValueError, match="must not involve z"):
+        TruncatedSeries("z", 4, [1, z + 1])
+    with pytest.raises(ValueError, match="must not involve z"):
+        TruncatedSeries("z", 4, [1, RatFunc(1, 1 + z)])
+    in_x = TruncatedSeries("x", 4, [1, z, RatFunc(1, 1 + z)])
+    assert in_x.coefficient(1) == RatFunc.coerce(z)
 
 
 def test_from_poly_and_coefficient_views():
@@ -172,6 +182,14 @@ def test_gaussian_binomial_symmetry_and_unit():
         for k in range(n + 1):
             assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
             assert gaussian_binomial(n, k).subs("q", 1).as_fraction() == math.comb(n, k)
+
+
+def test_gaussian_binomial_matches_the_qpoch_quotient():
+    for n in range(13):
+        for k in range(n + 1):
+            quotient = exact_div(qpoch_poly(n), qpoch_poly(k) * qpoch_poly(n - k))
+            assert gaussian_binomial(n, k) == quotient, (n, k)
+    assert gaussian_binomial(5, -1).is_zero() and gaussian_binomial(5, 6).is_zero()
 
 
 def test_qpoch_recurrence():
