@@ -8,7 +8,6 @@ identity checks and reports verified/refuted verdicts with witnesses.
 
 from .errors import (
     BadConstantTerm,
-    BoundOverflow,
     BudgetExceeded,
     DivisionByNonUnit,
     HooklabError,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadConstantTerm",
-    "BoundOverflow",
     "BudgetExceeded",
     "CellStats",
     "Check",

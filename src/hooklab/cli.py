@@ -149,10 +149,19 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         if args.bound:
             parser.error("--bound only applies to --id")
-        budget = args.budget_seconds
+        budget, source = args.budget_seconds, "--budget-seconds"
         if budget is None and os.environ.get(BUDGET_ENV):
-            budget = float(os.environ[BUDGET_ENV])
-        report = run_all(budget_seconds=budget, parallelism=max(1, args.jobs))
+            budget, source = os.environ[BUDGET_ENV], BUDGET_ENV
+        if budget is not None:
+            try:
+                budget = float(budget)
+            except ValueError:
+                parser.error(f"{source} wants a number, got {budget!r}")
+            if not budget >= 0:  # also false for NaN
+                parser.error(f"{source} wants a number >= 0, got {budget}")
+        if args.jobs < 1:
+            parser.error(f"--jobs wants an integer >= 1, got {args.jobs}")
+        report = run_all(budget_seconds=budget, parallelism=args.jobs)
     _emit(report, args.fmt, args.out)
     return _exit_code(report)
 

@@ -35,10 +35,6 @@ class BudgetExceeded(HooklabError):
     """An enumeration or computation exceeded its configured budget."""
 
 
-class BoundOverflow(HooklabError):
-    """A requested bound exceeds the configured enumeration budget."""
-
-
 class UnknownCheck(HooklabError):
     """No check with the requested id exists in the registry."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import BoundOverflow, BudgetExceeded, UnknownCheck
+from .errors import BudgetExceeded, UnknownCheck
 
 #: Runner protocol: bounds -> (status, witness, notes) with status one of
 #: "verified"/"refuted".  Anything raised is converted by the engine
@@ -113,7 +113,7 @@ def _execute(check: Check, bounds: dict[str, int]) -> CheckResult:
     start = time.perf_counter()
     try:
         status, witness, notes = check.runner(bounds)
-    except (BudgetExceeded, BoundOverflow) as exc:
+    except BudgetExceeded as exc:
         status, witness, notes = "skipped", None, f"budget: {exc}"
     except Exception as exc:  # contained: one bad check never sinks the run
         status, witness, notes = "error", None, f"{type(exc).__name__}: {exc}"

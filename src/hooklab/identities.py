@@ -9,12 +9,14 @@ coefficient can be traced back to the partitions that produced it.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
-from .multipoly import MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO
+from .multipoly import MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO
 from .partitions import (
     CellStats,
     Partition,
@@ -37,36 +39,38 @@ CellWeight = Callable[[CellStats, Partition], object]
 # ----- partition-indexed series -------------------------------------------------
 
 
-def partition_product_sum(
-    n: int, weight: CellWeight, cell_filter: Callable[[CellStats], bool] | None = None
-) -> RatFunc:
-    """sum over lambda |- n of the product of weight(u) over (filtered) cells."""
-    total = RF_ZERO
+def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
+    """sum over lambda |- n of the product of weight(u) over the cells of lambda.
+
+    The running sum sits over prod f^(largest multiplicity so far) of the
+    weights' denominator factors f, and only the final quotient is reduced.
+    """
+    total, den = ZERO, Counter()
     for lam in partition_list(n):
-        prod = RF_ONE
+        num, factors = ONE, Counter()
         for cs in cell_stats(lam):
-            if cell_filter is not None and not cell_filter(cs):
-                continue
             try:
-                prod = prod * RatFunc.coerce(weight(cs, lam))
+                w = RatFunc.coerce(weight(cs, lam))
             except ZeroDivisionError as exc:
                 raise WeightEvaluationError(
                     f"weight undefined: {exc}", partition=lam, cell=(cs.i, cs.j)
                 ) from exc
-        total = total + prod
-    return total
+            num = num * w.num
+            if not w.den.is_one():
+                factors[w.den] += 1
+        for f, k in (factors - den).items():
+            total = total * f**k
+        den |= factors
+        for f, k in (den - factors).items():
+            num = num * f**k
+        total = total + num
+    return RatFunc(total, math.prod((f**m for f, m in den.items()), start=ONE))
 
 
-def partition_product_series(
-    order: int,
-    weight: CellWeight,
-    cell_filter: Callable[[CellStats], bool] | None = None,
-) -> TruncatedSeries:
+def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
     """sum_n x^n sum_{lambda |- n} prod_u weight(u); empty products give 1."""
     return TruncatedSeries(
-        "x",
-        order,
-        [partition_product_sum(n, weight, cell_filter) for n in range(order + 1)],
+        "x", order, [partition_product_sum(n, weight) for n in range(order + 1)]
     )
 
 
@@ -121,18 +125,14 @@ def arm_zero_sum(n: int) -> RatFunc:
     """sum over lambda of prod over arm-free cells of (h_u + t)/h_u."""
     t = MultiPoly.var("t")
     return partition_product_sum(
-        n,
-        lambda cs, lam: RatFunc(t + cs.hook) * Fraction(1, cs.hook),
-        cell_filter=lambda cs: cs.arm == 0,
+        n, lambda cs, lam: (t + cs.hook) * Fraction(1, cs.hook) if cs.arm == 0 else 1
     )
 
 
 def leg_zero_sum(n: int) -> RatFunc:
     t = MultiPoly.var("t")
     return partition_product_sum(
-        n,
-        lambda cs, lam: RatFunc(t + cs.hook) * Fraction(1, cs.hook),
-        cell_filter=lambda cs: cs.leg == 0,
+        n, lambda cs, lam: (t + cs.hook) * Fraction(1, cs.hook) if cs.leg == 0 else 1
     )
 
 
@@ -358,6 +358,7 @@ def part_count_rhs_series(order: int) -> TruncatedSeries:
 # ----- surd-quotient hook factor (involution series) ------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def surd_hook_factor(h: int) -> RatFunc:
     """[(1+a)^h + (1-a)^h] / [(1+a)^h - (1-a)^h] * a/h as a rational function."""
     a = MultiPoly.var("a")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BoundOverflow
+from .errors import BudgetExceeded
 
 
 class Partition:
@@ -406,7 +406,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
     method="filter" brute-forces every partition of every n up to the exact
     (s, s+1)-core size bound and keeps the triple cores; transparently
     correct, used to cross-validate the beta walk at small s.  `budget` caps
-    the partitions scanned.  Either method raises BoundOverflow past it.
+    the partitions scanned.  Either method raises BudgetExceeded past it.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -419,7 +419,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
             i, chosen = stack.pop()
             if i == len(gaps):
                 if len(members) == budget:
-                    raise BoundOverflow(f"beta walk found over {budget} cores at s={s}")
+                    raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
                 members.append(_partition_from_beta(chosen))
                 continue
             g = gaps[i]
@@ -430,7 +430,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
         bound = sss_core_size_bound(s)
         total = sum(partition_count(k) for k in range(bound + 1))
         if total > budget:
-            raise BoundOverflow(
+            raise BudgetExceeded(
                 f"filter enumeration would scan {total} partitions, over budget {budget}"
             )
         for size in range(bound + 1):

@@ -100,6 +100,9 @@ def test_out_writes_file(tmp_path, capsys):
         ["frobnicate"],
         ["run", "--id", "C11.1", "--bound", "max_s=0"],
         ["run", "--id", "X3.4", "--bound", "max_n=0"],
+        ["run", "--all", "--budget-seconds", "-1"],
+        ["run", "--all", "--budget-seconds", "nan"],
+        ["run", "--all", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_three(capsys, argv):
@@ -114,6 +117,15 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert all(c["status"] == "skipped" for c in doc["checks"])
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_budget_env_var_exits_three(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOOKLAB_BUDGET_SECONDS", value)
+    code, out, err = run_cli(capsys, "run", "--all", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "HOOKLAB_BUDGET_SECONDS" in err
 
 
 def test_budget_flag_beats_env(capsys, monkeypatch):

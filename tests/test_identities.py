@@ -34,7 +34,13 @@ from hooklab.identities import (
     unit_hook_series,
 )
 from hooklab.multipoly import MultiPoly, ONE, RatFunc
-from hooklab.partitions import Partition, partition_count, partition_list, rr_sets
+from hooklab.partitions import (
+    Partition,
+    cell_stats,
+    partition_count,
+    partition_list,
+    rr_sets,
+)
 
 T = MultiPoly.var("t")
 Q = MultiPoly.var("q")
@@ -206,6 +212,45 @@ def test_product_sum_surfaces_zero_division_with_location():
         partition_product_sum(2, lambda cs, lam: Fraction(1, cs.content))
     assert err.value.partition is not None
     assert err.value.cell is not None
+
+
+def _per_cell_oracle(n, weight, cell_filter=None):
+    """Multiply reduced RatFunc weights cell by cell, as the sum once did."""
+    total = RatFunc.coerce(0)
+    for lam in partition_list(n):
+        prod = RatFunc.coerce(1)
+        for cs in cell_stats(lam):
+            if cell_filter is None or cell_filter(cs):
+                prod = prod * RatFunc.coerce(weight(cs, lam))
+        total = total + prod
+    return total
+
+
+def _shifted_hook(cs, lam):
+    return RatFunc(T + cs.hook) * Fraction(1, cs.hook)
+
+
+@pytest.mark.parametrize(
+    "max_n, weight, oracle_weight, cell_filter",
+    [
+        (8, lambda cs, lam: surd_hook_factor(cs.hook), None, None),
+        (7, lambda cs, lam: RatFunc(ONE, T + cs.hook), None, None),
+        (7, lambda cs, lam: RatFunc(T + cs.content, T + cs.hook), None, None),
+        (
+            8,
+            lambda cs, lam: _shifted_hook(cs, lam) if cs.arm == 0 else 1,
+            _shifted_hook,
+            lambda cs: cs.arm == 0,
+        ),
+    ],
+    ids=["surd", "reciprocal-hook", "content-over-hook", "arm-zero"],
+)
+def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_filter):
+    for n in range(max_n + 1):
+        got = partition_product_sum(n, weight)
+        want = _per_cell_oracle(n, oracle_weight or weight, cell_filter)
+        assert got == want
+        assert got.render() == want.render()
 
 
 def test_additive_series_parts_vs_cells():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooklab.errors import BoundOverflow
+from hooklab.errors import BudgetExceeded
 from hooklab.partitions import (
     Partition,
     _partition_from_beta,
@@ -220,7 +220,7 @@ def test_enumerate_rejects_bad_input():
         enumerate_sss_cores(0)
     with pytest.raises(ValueError):
         enumerate_sss_cores(3, method="magic")
-    with pytest.raises(BoundOverflow):
+    with pytest.raises(BudgetExceeded):
         enumerate_sss_cores(40, budget=10)
 
 
@@ -258,8 +258,8 @@ def test_sss_core_counts_are_motzkin_numbers():
 
 def test_beta_walk_budget_caps_cores_found():
     assert enumerate_sss_cores(4, budget=9).count == 9
-    with pytest.raises(BoundOverflow):
+    with pytest.raises(BudgetExceeded):
         enumerate_sss_cores(4, budget=8)
     # 990 gaps: the walk must not recurse once per gap
-    with pytest.raises(BoundOverflow):
+    with pytest.raises(BudgetExceeded):
         enumerate_sss_cores(45, budget=10)
