@@ -168,6 +168,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # glued to its flag, a value such as -inf is not read as an unknown option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--budget-seconds":
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
     try:
         args = parser.parse_args(argv)
         if args.command == "list":

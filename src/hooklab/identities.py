@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
-from .multipoly import MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO
+from .multipoly import (
+    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, dense_linear_product
+)
 from .partitions import (
     CellStats,
     Partition,
@@ -26,7 +28,6 @@ from .partitions import (
 from .permstats import cycle_types
 from .series import (
     TruncatedSeries,
-    binomial_poly,
     eta_product,
     gaussian_binomial,
     geometric,
@@ -108,17 +109,19 @@ def partition_gf(order: int) -> TruncatedSeries:
 
 
 def hook_square_polynomial(n: int) -> MultiPoly:
-    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t."""
-    total = MultiPoly.const(0)
-    t = MultiPoly.var("t")
+    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t.
+
+    Summed as (f^lambda)^2 prod_u (t + h_u^2) in integers over (n!)^2 by the
+    hook length formula f^lambda = n!/prod_u h_u.
+    """
+    nfact = math.factorial(n)
+    total = [0] * (n + 1)
     for lam in partition_list(n):
-        num = ONE
-        den = 1
-        for h in lam.hook_lengths():
-            num = num * (t + h * h)
-            den *= h * h
-        total = total + num * Fraction(1, den)
-    return total
+        hooks = lam.hook_lengths()
+        f = nfact // math.prod(hooks)
+        for d, c in enumerate(dense_linear_product(h * h for h in hooks)):
+            total[d] += f * f * c
+    return MultiPoly.from_dense(total, "t") * Fraction(1, nfact * nfact)
 
 
 def arm_zero_sum(n: int) -> RatFunc:
@@ -137,15 +140,19 @@ def leg_zero_sum(n: int) -> RatFunc:
 
 
 def multiplicity_binomial_sum(n: int) -> MultiPoly:
-    """sum over lambda of prod_j binom(k_j + t, k_j), k_j = multiplicity of j."""
-    t = MultiPoly.var("t")
-    total = MultiPoly.const(0)
+    """sum over lambda of prod_j binom(k_j + t, k_j), k_j = multiplicity of j.
+
+    Summed in integers over n!, since binom(t + k, k) = (t + 1)...(t + k)/k!.
+    """
+    nfact = math.factorial(n)
+    total = [0] * (n + 1)
     for lam in partition_list(n):
-        prod = ONE
-        for k in lam.multiplicities().values():
-            prod = prod * binomial_poly(t + k, k)
-        total = total + prod
-    return total
+        ks = lam.multiplicities().values()
+        weight = nfact // math.prod(map(math.factorial, ks))
+        shifts = (i for k in ks for i in range(1, k + 1))
+        for d, c in enumerate(dense_linear_product(shifts)):
+            total[d] += weight * c
+    return MultiPoly.from_dense(total, "t") * Fraction(1, nfact)
 
 
 def max_unit_hooks(n: int) -> int:

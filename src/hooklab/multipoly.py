@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 #: Coefficient variables, in the fixed order used by every exponent vector.
 #: t, q, v, a, b, z are the scalar parameters appearing in identities; the
@@ -73,6 +73,14 @@ def dense_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def dense_linear_product(shifts: Iterable[int]) -> list[int]:
+    """Integer coefficients (degree 0 upward) of prod (t + r) over the shifts r."""
+    out = [1]
+    for r in shifts:
+        out = [r * c + lower for c, lower in zip(out + [0], [0] + out)]
+    return out
+
+
 class MultiPoly:
     """Sparse polynomial over Fraction in the fixed variable set."""
 
@@ -115,6 +123,14 @@ class MultiPoly:
         for name, p in powers.items():
             exp[VAR_INDEX[name]] = p
         return MultiPoly({tuple(exp): _as_fraction(coeff)})
+
+    @staticmethod
+    def from_dense(coeffs: Sequence[Scalar], name: str) -> MultiPoly:
+        """Inverse of dense_coeffs: coeffs[d] becomes the coefficient of name**d."""
+        i = VAR_INDEX[name]
+        return MultiPoly(
+            {ZERO_EXP[:i] + (d,) + ZERO_EXP[i + 1 :]: c for d, c in enumerate(coeffs)}
+        )
 
     # ----- predicates and scalar views ----------------------------------
 
@@ -452,14 +468,7 @@ def _gcd_univariate(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         inv = 1 / b[-1]
         b = [c * inv for c in b]
         a, b = b, dense_rem(a, b)
-    i = VAR_INDEX[name]
-    out = {}
-    for d, c in enumerate(a):
-        if c:
-            exp = [0] * NVARS
-            exp[i] = d
-            out[tuple(exp)] = c
-    return MultiPoly(out).primitive()
+    return MultiPoly.from_dense(a, name).primitive()
 
 
 def _univar_content(p: MultiPoly, name: str) -> MultiPoly:

@@ -95,12 +95,7 @@ def stirling2(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def bell_poly(n: int) -> MultiPoly:
     """sum_j S(n,j) z^j; the constant term is 1 only at n=0."""
-    acc = MultiPoly.const(0)
-    for j in range(n + 1):
-        s = stirling2(n, j)
-        if s:
-            acc = acc + MultiPoly.monomial({"z": j}, s)
-    return acc
+    return MultiPoly.from_dense([stirling2(n, j) for j in range(n + 1)], "z")
 
 
 def bell_number(n: int) -> int:
@@ -141,18 +136,11 @@ def involution_trace_moment(n: int, k: int) -> int:
 
 def _eulerian_from_values(values: list[int], n: int) -> MultiPoly:
     # (1-t)^(n+1) * sum_k values[k] t^k, truncated to degree n
-    out: dict[int, int] = {}
-    for m in range(n + 1):
-        acc = 0
-        for j in range(m + 1):
-            sign = -1 if j % 2 else 1
-            acc += sign * math.comb(n + 1, j) * values[m - j]
-        if acc:
-            out[m] = acc
-    poly = MultiPoly.const(0)
-    for m, c in out.items():
-        poly = poly + MultiPoly.monomial({"t": m}, c)
-    return poly
+    coeffs = [
+        sum((-1) ** j * math.comb(n + 1, j) * values[m - j] for j in range(m + 1))
+        for m in range(n + 1)
+    ]
+    return MultiPoly.from_dense(coeffs, "t")
 
 
 @lru_cache(maxsize=None)

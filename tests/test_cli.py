@@ -103,12 +103,16 @@ def test_out_writes_file(tmp_path, capsys):
         ["run", "--all", "--budget-seconds", "-1"],
         ["run", "--all", "--budget-seconds", "nan"],
         ["run", "--all", "--jobs", "0"],
+        ["run", "--all", "--budget-seconds", "-inf"],
     ],
 )
 def test_usage_errors_exit_three(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert "usage" in err.lower() or "error" in err.lower()
+    if "--all" in argv and "--budget-seconds" in argv:
+        # a bad budget value reaches the budget check, not argparse's parsing
+        assert f"--budget-seconds wants a number >= 0, got {float(argv[-1])}" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from hooklab.identities import (
     hook_square_polynomial,
     involution_moment_poly,
     max_unit_hooks,
+    multiplicity_binomial_sum,
     partition_additive_series,
     partition_gf,
     partition_product_series,
@@ -41,6 +42,7 @@ from hooklab.partitions import (
     partition_list,
     rr_sets,
 )
+from hooklab.series import binomial_poly
 
 T = MultiPoly.var("t")
 Q = MultiPoly.var("q")
@@ -108,6 +110,50 @@ def test_hook_square_polynomial_small_cases():
         assert p.subs("t", 0).as_fraction() == partition_count(n)
         lead = p.coeff_of("t", n).as_fraction()
         assert lead == Fraction(1, math.factorial(n))
+
+
+def _hook_square_by_factors(n):
+    """Oracle: multiply the Fraction factors (t + h^2)/h^2 cell by cell."""
+    total = MultiPoly.const(0)
+    for lam in partition_list(n):
+        num = ONE
+        den = 1
+        for h in lam.hook_lengths():
+            num = num * (T + h * h)
+            den *= h * h
+        total = total + num * Fraction(1, den)
+    return total
+
+
+def _multiplicity_binomials_by_factors(n):
+    """Oracle: multiply the binomial polynomials binom(t + k, k) part by part."""
+    total = MultiPoly.const(0)
+    for lam in partition_list(n):
+        prod = ONE
+        for k in lam.multiplicities().values():
+            prod = prod * binomial_poly(T + k, k)
+        total = total + prod
+    return total
+
+
+def test_integer_sums_match_factor_products():
+    for n in range(15):
+        for fast, oracle in (
+            (hook_square_polynomial(n), _hook_square_by_factors(n)),
+            (multiplicity_binomial_sum(n), _multiplicity_binomials_by_factors(n)),
+        ):
+            assert fast == oracle
+            assert fast.render() == oracle.render()
+
+
+def test_hook_square_and_multiplicity_invariants_past_default_bounds():
+    # t=0 counts partitions; t=-1 is the constant 1 of prod (1-x^k)^-(t+1)
+    for n in range(25):
+        for p in (hook_square_polynomial(n), multiplicity_binomial_sum(n)):
+            assert p.evaluate({"t": 0}) == partition_count(n)
+            assert p.degree("t") == n
+            assert p.coeff_of("t", n).as_fraction() == Fraction(1, math.factorial(n))
+            assert p.evaluate({"t": -1}) == (0 if n else 1)
 
 
 # ----- unit hooks -------------------------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooklab.multipoly import MultiPoly, ONE, RatFunc, exact_div, poly_gcd
+from hooklab.multipoly import (
+    MultiPoly,
+    ONE,
+    RatFunc,
+    dense_linear_product,
+    exact_div,
+    poly_gcd,
+)
 
 T = MultiPoly.var("t")
 Q = MultiPoly.var("q")
@@ -64,6 +71,32 @@ def test_constructors_and_predicates():
     assert MultiPoly.var("t", 3) == T**3
     with pytest.raises(KeyError):
         MultiPoly.var("w")
+
+
+@given(st.lists(st.integers(-6, 6), max_size=8))
+def test_dense_linear_product_matches_factor_product(shifts):
+    expected = ONE
+    for r in shifts:
+        expected = expected * (T + r)
+    coeffs = dense_linear_product(shifts)
+    assert all(type(c) is int for c in coeffs)
+    assert len(coeffs) == len(shifts) + 1
+    assert MultiPoly.from_dense(coeffs, "t") == expected
+
+
+def test_dense_linear_product_spots():
+    assert dense_linear_product([]) == [1]
+    assert dense_linear_product([0, 0]) == [0, 0, 1]
+    assert dense_linear_product([1, -1]) == [-1, 0, 1]
+
+
+@given(small_polys, st.sampled_from(["t", "q"]))
+def test_from_dense_inverts_dense_coeffs(p, name):
+    other = "q" if name == "t" else "t"
+    p = p.subs(other, Fraction(2, 3))
+    assert MultiPoly.from_dense(p.dense_coeffs(name), name) == p
+    assert MultiPoly.from_dense([], name).is_zero()
+    assert MultiPoly.from_dense([0, 0], name).is_zero()
 
 
 def test_subs_against_evaluate():
