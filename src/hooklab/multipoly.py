@@ -1,22 +1,27 @@
 """Exact sparse multivariate polynomials and reduced rational functions.
 
-Every coefficient in this package is a `fractions.Fraction`; nothing is ever
-rounded.  A polynomial is a map from exponent vectors to nonzero rational
-coefficients (the zero polynomial is the empty map).  The variable set is
-fixed once for the whole package (VARIABLES), so exponent vectors built in
-different modules always line up and cross-module arithmetic needs no
-variable bookkeeping.
+Every value in this package is an exact rational; nothing is ever rounded.
+A polynomial is stored as cont * prim: ``prim`` maps exponent vectors to
+nonzero ints whose gcd is 1, and ``cont`` is a positive Fraction (the zero
+polynomial is ({}, 1)).  That pair is unique for each polynomial, so ``==``
+is a data comparison.  By Gauss's lemma the product of two primitive
+polynomials is primitive, so a product multiplies ints and contents and
+never takes a gcd, and a scalar multiple only rescales the content.  The
+variable set is fixed once for the whole package (VARIABLES), so exponent
+vectors built in different modules always line up and cross-module
+arithmetic needs no variable bookkeeping.
 
 RatFunc is a quotient of two MultiPoly values kept in reduced form: the gcd
 of numerator and denominator is divided out and both are rescaled so the
 denominator's lexicographically leading coefficient is 1.  Equal values then
-have literally equal term maps, so ``==`` is a data comparison.
+have equal (content, primitive) pairs, so ``==`` is a data comparison.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Coefficient variables, in the fixed order used by every exponent vector.
@@ -82,19 +87,21 @@ def dense_linear_product(shifts: Iterable[int]) -> list[int]:
 
 
 class MultiPoly:
-    """Sparse polynomial over Fraction in the fixed variable set."""
+    """Sparse polynomial over Q in the fixed variable set, kept as
+    cont * prim: a positive Fraction times a primitive integer term map."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("prim", "cont")
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        # Constraint: stored terms never map to zero.
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         clean = {}
         if terms:
             for exp, coeff in terms.items():
                 c = _as_fraction(coeff)
                 if c:
                     clean[tuple(exp)] = c
-        self.terms = clean
+        cont = _fraction_content(clean.values())
+        self.prim = {exp: (c / cont).numerator for exp, c in clean.items()}
+        self.cont = cont
 
     # ----- constructors -------------------------------------------------
 
@@ -103,7 +110,9 @@ class MultiPoly:
         c = _as_fraction(value)
         if not c:
             return ZERO
-        return MultiPoly({ZERO_EXP: c})
+        if c.numerator > 0:
+            return _raw(_ONE_PRIM, c)
+        return _raw(_MINUS_ONE_PRIM, -c)
 
     @staticmethod
     def var(name: str, power: int = 1) -> MultiPoly:
@@ -115,7 +124,7 @@ class MultiPoly:
             return ONE
         exp = [0] * NVARS
         exp[VAR_INDEX[name]] = power
-        return MultiPoly({tuple(exp): Fraction(1)})
+        return _raw({tuple(exp): 1}, _UNIT)
 
     @staticmethod
     def monomial(powers: Mapping[str, int], coeff=1) -> MultiPoly:
@@ -132,19 +141,25 @@ class MultiPoly:
             {ZERO_EXP[:i] + (d,) + ZERO_EXP[i + 1 :]: c for d, c in enumerate(coeffs)}
         )
 
-    # ----- predicates and scalar views ----------------------------------
+    # ----- views ----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple, Fraction]:
+        """The coefficients as {exponent: Fraction}; a fresh dict on each read."""
+        cont = self.cont
+        return {exp: cont * c for exp, c in self.prim.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.prim
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(ZERO_EXP) == 1
+        return self.cont == 1 and self.prim == _ONE_PRIM
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
+        return not self.prim or (len(self.prim) == 1 and ZERO_EXP in self.prim)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(ZERO_EXP, Fraction(0))
+        return self.cont * self.prim.get(ZERO_EXP, 0)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -153,7 +168,7 @@ class MultiPoly:
 
     def used_vars(self) -> tuple[int, ...]:
         used = set()
-        for exp in self.terms:
+        for exp in self.prim:
             for i, e in enumerate(exp):
                 if e:
                     used.add(i)
@@ -161,10 +176,10 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.prim:
             return -1
         i = VAR_INDEX[name]
-        return max(exp[i] for exp in self.terms)
+        return max(exp[i] for exp in self.prim)
 
     # ----- ring operations ----------------------------------------------
 
@@ -179,31 +194,33 @@ class MultiPoly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        if not self.terms:
+        if not self.prim:
             return p
-        if not p.terms:
+        if not p.prim:
             return self
-        out = dict(self.terms)
-        for exp, c in p.terms.items():
-            s = out.get(exp)
-            if s is None:
-                out[exp] = c
+        a, b = self, p
+        if len(a.prim) < len(b.prim):
+            a, b = b, a
+        # Over g = gcd(numerators)/lcm(denominators) both contents are
+        # integers ma, mb; the sum's own gcd is divided out by _reduce.
+        na, da = a.cont.numerator, a.cont.denominator
+        nb, db = b.cont.numerator, b.cont.denominator
+        gn, gd = math.gcd(na, nb), math.lcm(da, db)
+        ma, mb = na // gn * (gd // da), nb // gn * (gd // db)
+        out = dict(a.prim) if ma == 1 else {exp: ma * c for exp, c in a.prim.items()}
+        get = out.get
+        for exp, c in b.prim.items():
+            s = get(exp, 0) + mb * c
+            if s:
+                out[exp] = s
             else:
-                s = s + c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        r = MultiPoly.__new__(MultiPoly)
-        r.terms = out
-        return r
+                del out[exp]
+        return _reduce(out, Fraction(gn, gd))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = MultiPoly.__new__(MultiPoly)
-        r.terms = {exp: -c for exp, c in self.terms.items()}
-        return r
+        return _raw(_negated(self.prim), self.cont)
 
     def __sub__(self, other):
         p = self._coerce(other)
@@ -218,35 +235,35 @@ class MultiPoly:
         return p + (-self)
 
     def __mul__(self, other):
-        p = self._coerce(other)
-        if p is None:
+        if isinstance(other, (int, Fraction)):
+            # A scalar only rescales the content (and flips signs if negative).
+            if not other or not self.prim:
+                return ZERO
+            if other > 0:
+                return _raw(self.prim, self.cont * other)
+            return _raw(_negated(self.prim), self.cont * -other)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        if not self.terms or not p.terms:
+        a, b = self.prim, other.prim
+        if not a or not b:
             return ZERO
-        # Scalar fast path keeps q-series loops cheap.
-        if p.is_constant():
-            c = p.constant_term()
-            r = MultiPoly.__new__(MultiPoly)
-            r.terms = {exp: v * c for exp, v in self.terms.items()}
-            return r
-        if self.is_constant():
-            return p * self.constant_term()
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in p.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp)
-                if s is None:
-                    out[exp] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-        r = MultiPoly.__new__(MultiPoly)
-        r.terms = out
-        return r
+        ca, cb = self.cont, other.cont
+        cont = cb if ca == 1 else ca if cb == 1 else ca * cb
+        if len(b) == 1 and ZERO_EXP in b:
+            return _raw(a if b[ZERO_EXP] > 0 else _negated(a), cont)
+        if len(a) == 1 and ZERO_EXP in a:
+            return _raw(b if a[ZERO_EXP] > 0 else _negated(b), cont)
+        # Gauss's lemma: a product of primitive polynomials is primitive,
+        # so the integer products need no gcd.
+        out: dict[tuple, int] = {}
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        if 0 in out.values():
+            out = {exp: c for exp, c in out.items() if c}
+        return _raw(out, cont)
 
     __rmul__ = __mul__
 
@@ -275,13 +292,16 @@ class MultiPoly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self.terms == p.terms
+        return self.cont == p.cont and self.prim == p.prim
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # A constant equals its Fraction, so it must hash like one.
+        if self.is_constant():
+            return hash(self.constant_term())
+        return hash((self.cont, frozenset(self.prim.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.prim)
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
@@ -292,23 +312,18 @@ class MultiPoly:
         """Coefficient of name**power, as a polynomial in the other variables."""
         i = VAR_INDEX[name]
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.prim.items():
             if exp[i] == power:
-                reduced = list(exp)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return MultiPoly(out)
+                out[exp[:i] + (0,) + exp[i + 1 :]] = c
+        return _reduce(out, self.cont)
 
     def as_univariate(self, name: str) -> dict[int, MultiPoly]:
         """View as a univariate polynomial in `name` with MultiPoly coefficients."""
         i = VAR_INDEX[name]
         buckets: dict[int, dict] = {}
-        for exp, c in self.terms.items():
-            d = exp[i]
-            reduced = list(exp)
-            reduced[i] = 0
-            buckets.setdefault(d, {})[tuple(reduced)] = c
-        return {d: MultiPoly(t) for d, t in buckets.items()}
+        for exp, c in self.prim.items():
+            buckets.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1 :]] = c
+        return {d: _reduce(t, self.cont) for d, t in buckets.items()}
 
     def dense_coeffs(self, name: str) -> list[Fraction]:
         """Dense coefficient list (degree 0 upward) of a univariate polynomial.
@@ -319,7 +334,7 @@ class MultiPoly:
 
         i = VAR_INDEX[name]
         deg = 0
-        for exp in self.terms:
+        for exp in self.prim:
             for j, e in enumerate(exp):
                 if e and j != i:
                     raise NotUnivariate(
@@ -327,79 +342,68 @@ class MultiPoly:
                     )
             deg = max(deg, exp[i])
         out = [Fraction(0)] * (deg + 1)
-        for exp, c in self.terms.items():
-            out[exp[i]] = c
+        for exp, c in self.prim.items():
+            out[exp[i]] = self.cont * c
         return out
 
     def subs(self, name: str, value) -> MultiPoly:
         """Substitute a variable by an exact rational or another polynomial."""
-        i = VAR_INDEX[name]
         if isinstance(value, (int, Fraction)):
             value = MultiPoly.const(value)
-        powers: dict[int, MultiPoly] = {0: ONE}
-        result = ZERO
-        for exp, c in sorted(self.terms.items()):
-            d = exp[i]
-            if d not in powers:
-                p = powers[max(powers)]
-                for k in range(max(powers) + 1, d + 1):
-                    p = p * value
-                    powers[k] = p
-            reduced = list(exp)
-            reduced[i] = 0
-            result = result + MultiPoly({tuple(reduced): c}) * powers[d]
+        result, power, k = ZERO, ONE, 0
+        for d, coeff in sorted(self.as_univariate(name).items()):
+            while k < d:
+                power, k = power * value, k + 1
+            result = result + coeff * power
         return result
 
     def derivative(self, name: str) -> MultiPoly:
         i = VAR_INDEX[name]
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.prim.items():
             if exp[i]:
-                reduced = list(exp)
-                reduced[i] -= 1
-                out[tuple(reduced)] = c * exp[i]
-        return MultiPoly(out)
+                out[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c * exp[i]
+        return _reduce(out, self.cont)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full numeric evaluation; every used variable must be assigned."""
-        total = Fraction(0)
-        for exp, c in self.terms.items():
+        total = 0
+        for exp, c in self.prim.items():
             term = c
             for i, e in enumerate(exp):
                 if e:
                     term *= _as_fraction(assignment[VARIABLES[i]]) ** e
             total += term
-        return total
+        return self.cont * total
 
     # ----- leading terms, content, division -------------------------------
 
     def lex_leading(self) -> tuple[tuple, Fraction]:
         """(exponent, coefficient) of the lexicographically largest monomial."""
-        if not self.terms:
+        if not self.prim:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms)
-        return exp, self.terms[exp]
+        exp = max(self.prim)
+        return exp, self.cont * self.prim[exp]
 
     def content(self) -> Fraction:
-        return _fraction_content(self.terms.values())
+        return self.cont
 
     def primitive(self) -> MultiPoly:
         """Divide out the rational content; leading (lex) coefficient made positive."""
-        if not self.terms:
+        if not self.prim:
             return self
-        c = self.content()
-        if self.terms[max(self.terms)] < 0:
-            c = -c
-        return self * (1 / c)
+        if self.prim[max(self.prim)] > 0:
+            return self if self.cont == 1 else _raw(self.prim, _UNIT)
+        return _raw(_negated(self.prim), _UNIT)
 
     def render(self) -> str:
         """Human-readable form with terms in graded-lex order, e.g. '1 + 4*t + t^2'."""
-        if not self.terms:
+        if not self.prim:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e))
+        terms = self.terms
         parts = []
-        for exp in keys:
-            coeff = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), e)):
+            coeff = terms[exp]
             factors = []
             for i, e in enumerate(exp):
                 if e == 1:
@@ -420,36 +424,72 @@ class MultiPoly:
         return " ".join(parts)
 
 
-ZERO = MultiPoly()
-ONE = MultiPoly({ZERO_EXP: Fraction(1)})
+def _raw(prim: dict, cont: Fraction) -> MultiPoly:
+    """Wrap a pair that is already canonical; the dict is not copied."""
+    r = MultiPoly.__new__(MultiPoly)
+    r.prim = prim
+    r.cont = cont
+    return r
+
+
+def _reduce(ints: dict, scale: Fraction) -> MultiPoly:
+    """scale * sum ints[e] x^e, for nonzero ints and scale > 0."""
+    if not ints:
+        return ZERO
+    g = math.gcd(*ints.values())
+    if g == 1:
+        return _raw(ints, scale)
+    return _raw({exp: c // g for exp, c in ints.items()}, scale * g)
+
+
+def _negated(prim: dict) -> dict:
+    return {exp: -c for exp, c in prim.items()}
+
+
+_UNIT = Fraction(1)
+_ONE_PRIM = {ZERO_EXP: 1}
+_MINUS_ONE_PRIM = {ZERO_EXP: -1}
+ZERO = _raw({}, _UNIT)
+ONE = _raw(_ONE_PRIM, _UNIT)
 
 
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     """Quotient p/d when the division is exact, else None.
 
-    Repeated elimination of the lex-leading term; terminates because the
-    leading exponent strictly decreases in lex order.
+    Repeated elimination of the lex-leading term, on the primitive parts:
+    by Gauss's lemma an exact quotient of primitive integer polynomials is
+    itself a primitive integer polynomial, so every step divides integers
+    and an inexact integer step already proves that d does not divide p.
+    Terminates because the leading exponent strictly decreases in lex order.
     """
     if d.is_zero():
         raise ZeroDivisionError("exact_div by zero polynomial")
     if p.is_zero():
         return ZERO
-    if d.is_one():
-        return p
     if d.is_constant():
         return p * (1 / d.constant_term())
-    d_exp, d_coeff = d.lex_leading()
-    quotient: dict[tuple, Fraction] = {}
-    rem = p
-    while rem.terms:
-        r_exp, r_coeff = rem.lex_leading()
-        diff = tuple(a - b for a, b in zip(r_exp, d_exp))
-        if any(e < 0 for e in diff):
+    divisor = d.prim
+    d_exp = max(divisor)
+    d_lead = divisor[d_exp]
+    quotient = {}
+    rem = dict(p.prim)
+    while rem:
+        r_exp = max(rem)
+        diff = tuple(map(sub, r_exp, d_exp))
+        if min(diff) < 0:
             return None
-        c = r_coeff / d_coeff
-        quotient[diff] = quotient.get(diff, Fraction(0)) + c
-        rem = rem - MultiPoly({diff: c}) * d
-    return MultiPoly(quotient)
+        c, r = divmod(rem[r_exp], d_lead)
+        if r:
+            return None
+        quotient[diff] = c
+        for exp, v in divisor.items():
+            exp = tuple(map(add, diff, exp))
+            s = rem.get(exp, 0) - c * v
+            if s:
+                rem[exp] = s
+            else:
+                del rem[exp]
+    return _raw(quotient, p.cont / d.cont)
 
 
 # ----- gcd ----------------------------------------------------------------
@@ -688,6 +728,9 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # A polynomial equals its numerator, so it must hash like one.
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -1,5 +1,6 @@
 """Ring laws and canonical forms for the sparse polynomial layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooklab.multipoly import (
+    NVARS,
+    VAR_INDEX,
+    VARIABLES,
+    ZERO_EXP,
     MultiPoly,
     ONE,
     RatFunc,
@@ -232,3 +237,230 @@ def test_ratfunc_subs_and_render():
     r = RatFunc(T + Q, T - Q)
     assert r.subs("q", 0) == RatFunc.coerce(1)
     assert "/" in RatFunc(ONE, T).render()
+
+
+# ----- (content, primitive) storage against a Fraction-map oracle ------------------
+
+
+class FractionMapPoly:
+    """The earlier storage, kept as an oracle: one Fraction per monomial."""
+
+    def __init__(self, terms=None):
+        self.terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            out[exp] = out.get(exp, 0) + c
+        return FractionMapPoly(out)
+
+    def __neg__(self):
+        return FractionMapPoly({exp: -c for exp, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionMapPoly({exp: c * other for exp, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                out[exp] = out.get(exp, 0) + c1 * c2
+        return FractionMapPoly(out)
+
+    def __truediv__(self, c):
+        return self * (1 / Fraction(c))
+
+    def __pow__(self, n):
+        result = FractionMapPoly({ZERO_EXP: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def subs(self, name, value):
+        i = VAR_INDEX[name]
+        if isinstance(value, (int, Fraction)):
+            value = FractionMapPoly({ZERO_EXP: value})
+        result = FractionMapPoly()
+        for exp, c in self.terms.items():
+            rest = FractionMapPoly({exp[:i] + (0,) + exp[i + 1 :]: c})
+            result = result + rest * value ** exp[i]
+        return result
+
+    def derivative(self, name):
+        i = VAR_INDEX[name]
+        return FractionMapPoly(
+            {exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c * exp[i] for exp, c in self.terms.items() if exp[i]}
+        )
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exp, c in self.terms.items():
+            for i, e in enumerate(exp):
+                if e:
+                    c *= Fraction(point[VARIABLES[i]]) ** e
+            total += c
+        return total
+
+    def lex_leading(self):
+        exp = max(self.terms)
+        return exp, self.terms[exp]
+
+    def content(self):
+        if not self.terms:
+            return Fraction(1)
+        nums = math.gcd(*(c.numerator for c in self.terms.values()))
+        dens = math.lcm(*(c.denominator for c in self.terms.values()))
+        return Fraction(nums, dens)
+
+    def primitive(self):
+        if not self.terms:
+            return self
+        c = self.content()
+        return self / (c if self.lex_leading()[1] > 0 else -c)
+
+    def dense_coeffs(self, name):
+        i = VAR_INDEX[name]
+        out = [Fraction(0)] * (max((e[i] for e in self.terms), default=0) + 1)
+        for exp, c in self.terms.items():
+            out[exp[i]] = c
+        return out
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exp in sorted(self.terms, key=lambda e: (sum(e), e)):
+            c = self.terms[exp]
+            factors = [VARIABLES[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e]
+            mag = abs(c)
+            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+            parts.append(("-" if c < 0 else "") + body if not parts else ("+ " if c > 0 else "- ") + body)
+        return " ".join(parts)
+
+
+def oracle_exact_div(p, d):
+    d_exp, d_coeff = d.lex_leading()
+    quotient = FractionMapPoly()
+    rem = p
+    while rem.terms:
+        r_exp, r_coeff = rem.lex_leading()
+        diff = tuple(a - b for a, b in zip(r_exp, d_exp))
+        if min(diff) < 0:
+            return None
+        step = FractionMapPoly({diff: r_coeff / d_coeff})
+        quotient = quotient + step
+        rem = rem - step * d
+    return quotient
+
+
+def assert_canonical(p):
+    assert type(p.cont) is Fraction and p.cont > 0
+    assert all(type(c) is int and c for c in p.prim.values())
+    assert all(type(e) is tuple and len(e) == NVARS for e in p.prim)
+    if p.prim:
+        assert math.gcd(*p.prim.values()) == 1
+    else:
+        assert p.cont == 1
+
+
+def agree(p, oracle):
+    assert_canonical(p)
+    assert p.terms == oracle.terms
+
+
+term_lists = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-9, 9), st.integers(1, 6)),
+    max_size=4,
+)
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def both(terms):
+    """The same polynomial as a sum of monomials and as an oracle term map."""
+    poly, exact = MultiPoly.const(0), {}
+    for te, qe, num, den in terms:
+        poly = poly + _mono(te, qe, num, den)
+        exp = _mono(te, qe, 1, 1).lex_leading()[0]
+        exact[exp] = exact.get(exp, 0) + Fraction(num, den)
+    oracle = FractionMapPoly(exact)
+    agree(poly, oracle)
+    assert MultiPoly(exact) == poly
+    return poly, oracle
+
+
+@settings(deadline=None, max_examples=150)
+@given(term_lists, term_lists, scalars, st.integers(0, 3))
+def test_operations_match_fraction_map_oracle(ta, tb, c, n):
+    a, oa = both(ta)
+    b, ob = both(tb)
+    agree(a + b, oa + ob)
+    agree(a - b, oa - ob)
+    agree(a * b, oa * ob)
+    # the cross terms cancel, so the product must drop them
+    agree((a + b) * (a - b), (oa + ob) * (oa - ob))
+    agree(-a, -oa)
+    agree(a * c, oa * c)
+    agree(c * a, oa * c)
+    agree(a * MultiPoly.const(c), oa * c)
+    agree(a + c, oa + FractionMapPoly({ZERO_EXP: c}))
+    if c:
+        agree(a / c, oa / c)
+    agree(a**n, oa**n)
+    agree(a.subs("t", c), oa.subs("t", c))
+    agree(a.subs("q", b), oa.subs("q", ob))
+    agree(a.derivative("t"), oa.derivative("t"))
+    agree(a.primitive(), oa.primitive())
+    assert a.content() == oa.content()
+    point = {"t": Fraction(3, 2), "q": c}
+    assert a.evaluate(point) == oa.evaluate(point)
+    univariate, ounivariate = a.subs("q", c), oa.subs("q", c)
+    assert univariate.dense_coeffs("t") == ounivariate.dense_coeffs("t")
+    assert a.render() == oa.render()
+    if a:
+        assert a.lex_leading() == oa.lex_leading()
+    if b:
+        agree(exact_div(a * b, b), oa)
+        mine, theirs = exact_div(a, b), oracle_exact_div(oa, ob)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            agree(mine, theirs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_polys, nonzero_polys)
+def test_ratfunc_parts_are_canonical(p, q):
+    r = RatFunc(p, q)
+    assert_canonical(r.num)
+    assert_canonical(r.den)
+    assert r.den.is_one() or r.den.lex_leading()[1] == 1
+
+
+@given(small_polys, small_polys)
+def test_equal_values_by_different_routes_hash_alike(a, b):
+    routes = [a * b, b * a, (a * 2) * b / 2, a * b + T - T, MultiPoly(dict((a * b).terms))]
+    for p in routes:
+        assert_canonical(p)
+        assert p == routes[0] and hash(p) == hash(routes[0])
+
+
+def test_spot_routes_are_equal_and_hash_alike():
+    for p in [(T / 2) * 2, T + Q - Q, T * Fraction(-1, 3) * -3, exact_div(T * Q, Q)]:
+        assert p == T and hash(p) == hash(T)
+        assert p.prim == T.prim and p.cont == T.cont
+    assert_canonical((T + Q) * (T - Q))
+    assert (T + Q) * (T - Q) == T**2 - Q**2
+    assert (T - T).prim == {} and (T - T).cont == 1
+    assert (T * 0).prim == {} and (T * 0).cont == 1
+
+
+def test_hash_agrees_with_equality_across_types():
+    assert MultiPoly.const(3) == 3
+    assert len({MultiPoly.const(3), 3}) == 1
+    assert len({MultiPoly.const(Fraction(-2, 3)), Fraction(-2, 3)}) == 1
+    assert len({MultiPoly.const(0), 0}) == 1
+    assert RatFunc(T) == T
+    assert len({RatFunc(T), T}) == 1
+    assert len({RatFunc.coerce(Fraction(1, 2)), Fraction(1, 2), MultiPoly.const(Fraction(1, 2))}) == 1
