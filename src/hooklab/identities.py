@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
 from .multipoly import (
-    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, dense_linear_product
+    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, ZERO_EXP, dense_linear_product
 )
 from .partitions import (
     CellStats,
@@ -43,22 +44,33 @@ CellWeight = Callable[[CellStats, Partition], object]
 def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
     """sum over lambda |- n of the product of weight(u) over the cells of lambda.
 
-    The running sum sits over prod f^(largest multiplicity so far) of the
-    weights' denominator factors f, and only the final quotient is reduced.
+    Integer and Fraction weights multiply one scalar per partition and
+    polynomial weights multiply its numerator; neither is wrapped in a
+    RatFunc.  A float or other inexact weight raises TypeError.  The running
+    sum sits over prod f^(largest multiplicity so far) of the weights'
+    denominator factors f, and only the final quotient is reduced.
     """
     total, den = ZERO, Counter()
     for lam in partition_list(n):
-        num, factors = ONE, Counter()
+        num, scale, factors = ONE, 1, Counter()
         for cs in cell_stats(lam):
             try:
-                w = RatFunc.coerce(weight(cs, lam))
+                w = weight(cs, lam)
             except ZeroDivisionError as exc:
                 raise WeightEvaluationError(
                     f"weight undefined: {exc}", partition=lam, cell=(cs.i, cs.j)
                 ) from exc
-            num = num * w.num
-            if not w.den.is_one():
-                factors[w.den] += 1
+            if isinstance(w, (int, Fraction)):
+                scale *= w
+            elif isinstance(w, MultiPoly):
+                num = num * w
+            else:
+                w = RatFunc.coerce(w)
+                num = num * w.num
+                if not w.den.is_one():
+                    factors[w.den] += 1
+        if scale != 1:
+            num = num * scale
         for f, k in (factors - den).items():
             total = total * f**k
         den |= factors
@@ -82,21 +94,31 @@ def partition_additive_series(
 
     mode="cells" calls summand(cell_stats_entry, lam); mode="parts" calls
     summand(part_value, lam).  Summands may return integers, rationals,
-    polynomials or rational functions.
+    polynomials or rational functions.  Scalars and polynomials are added
+    term by term into one coefficient map per n; only summands with a
+    denominator go through RatFunc addition.  A float or other inexact
+    summand raises TypeError.
     """
     if mode not in ("cells", "parts"):
         raise ValueError(f"unknown additive mode {mode!r}")
     coeffs = []
     for n in range(order + 1):
-        total = RF_ZERO
+        terms = {}
+        rest = RF_ZERO
         for lam in partition_list(n):
-            if mode == "cells":
-                for cs in cell_stats(lam):
-                    total = total + RatFunc.coerce(summand(cs, lam))
-            else:
-                for part in lam.parts:
-                    total = total + RatFunc.coerce(summand(part, lam))
-        coeffs.append(total)
+            for item in cell_stats(lam) if mode == "cells" else lam.parts:
+                s = summand(item, lam)
+                if isinstance(s, RatFunc) and s.den.is_one():
+                    s = s.num
+                if isinstance(s, (int, Fraction)):
+                    terms[ZERO_EXP] = terms.get(ZERO_EXP, 0) + s
+                elif isinstance(s, MultiPoly):
+                    cont = s.cont
+                    for exp, c in s.prim.items():
+                        terms[exp] = terms.get(exp, 0) + (c if cont == 1 else cont * c)
+                else:
+                    rest = rest + RatFunc.coerce(s)
+        coeffs.append(RatFunc(MultiPoly(terms)) + rest)
     return TruncatedSeries("x", order, coeffs)
 
 
@@ -156,11 +178,17 @@ def multiplicity_binomial_sum(n: int) -> MultiPoly:
 
 
 def max_unit_hooks(n: int) -> int:
-    """b_n: the largest number of hook-length-1 cells over partitions of n."""
+    """b_n: the largest number of hook-length-1 cells over partitions of n.
+
+    A cell has hook length 1 exactly when its arm and leg are 0: it ends its
+    row and the row below is shorter.  So each row longer than the next one
+    holds one such cell.
+    """
     if n == 0:
         return 0
     return max(
-        sum(1 for h in lam.hook_lengths() if h == 1) for lam in partition_list(n)
+        sum(map(operator.gt, lam.parts, lam.parts[1:] + (0,)))
+        for lam in partition_list(n)
     )
 
 

@@ -254,10 +254,16 @@ class MultiPoly:
         if len(a) == 1 and ZERO_EXP in a:
             return _raw(b if a[ZERO_EXP] > 0 else _negated(b), cont)
         # Gauss's lemma: a product of primitive polynomials is primitive,
-        # so the integer products need no gcd.
-        out: dict[tuple, int] = {}
+        # so the integer products need no gcd.  The outer loop runs over the
+        # shorter factor, whose constant term needs no exponent sums.
+        if len(a) > len(b):
+            a, b = b, a
+        c0 = a.get(ZERO_EXP)
+        out: dict[tuple, int] = {e2: c0 * c2 for e2, c2 in b.items()} if c0 else {}
         get = out.get
         for e1, c1 in a.items():
+            if e1 == ZERO_EXP:
+                continue
             for e2, c2 in b.items():
                 exp = tuple(map(add, e1, e2))
                 out[exp] = get(exp, 0) + c1 * c2
@@ -270,6 +276,10 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if len(self.prim) == 1:
+            # A monomial's primitive coefficient is 1 or -1.
+            [(exp, c)] = self.prim.items()
+            return _raw({tuple(e * n for e in exp): c**n}, self.cont**n)
         result = ONE
         base = self
         while n:
@@ -680,6 +690,13 @@ class RatFunc:
         return RatFunc.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # A nonzero scalar keeps the quotient reduced and the denominator.
+            if not other or self.num.is_zero():
+                return RF_ZERO
+            r = RatFunc.__new__(RatFunc)
+            r.num, r.den = self.num * other, self.den
+            return r
         try:
             o = RatFunc.coerce(other)
         except TypeError:

@@ -15,20 +15,25 @@ first counterexample they meet, so witnesses are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 
 
 class Partition:
-    """Immutable weakly-decreasing positive parts."""
+    """Immutable weakly-decreasing positive parts.
+
+    Each part must be an integer (operator.index), so a float or a string
+    raises TypeError instead of being truncated or parsed.
+    """
 
     __slots__ = ("parts", "_conj")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -67,15 +72,18 @@ class Partition:
 
     def conjugate(self) -> Partition:
         if self._conj is None:
-            if not self.parts:
+            parts = self.parts
+            if not parts:
                 self._conj = self
             else:
-                width = self.parts[0]
-                conj = [0] * width
-                for p in self.parts:
-                    for j in range(p):
-                        conj[j] += 1
-                self._conj = Partition(conj)
+                # Column j is as long as the number of parts >= j.
+                conj = []
+                i = len(parts)
+                for j in range(1, parts[0] + 1):
+                    while parts[i - 1] < j:
+                        i -= 1
+                    conj.append(i)
+                self._conj = _trusted(tuple(conj))
         return self._conj
 
     # -- per-cell statistics ------------------------------------------------
@@ -218,8 +226,7 @@ class PartStatistics:
     length: int
 
 
-@dataclass(frozen=True)
-class CellStats:
+class CellStats(NamedTuple):
     i: int
     j: int
     arm: int
@@ -231,26 +238,25 @@ class CellStats:
 
 
 def cell_stats(part: Partition) -> list[CellStats]:
-    parts = part.parts
     conj = part.conjugate().parts
+    c_sp, c_orth = part.symplectic_content, part.orthogonal_content
     out = []
-    for i, p in enumerate(parts, start=1):
+    for i, p in enumerate(part.parts, start=1):
         for j in range(1, p + 1):
             arm = p - j
             leg = conj[j - 1] - i
             out.append(
-                CellStats(
-                    i=i,
-                    j=j,
-                    arm=arm,
-                    leg=leg,
-                    hook=arm + leg + 1,
-                    content=j - i,
-                    c_sp=part.symplectic_content(i, j),
-                    c_orth=part.orthogonal_content(i, j),
-                )
+                CellStats(i, j, arm, leg, arm + leg + 1, j - i, c_sp(i, j), c_orth(i, j))
             )
     return out
+
+
+def _trusted(parts: tuple) -> Partition:
+    """Wrap a tuple already known to be positive and weakly decreasing."""
+    lam = Partition.__new__(Partition)
+    lam.parts = parts
+    lam._conj = None
+    return lam
 
 
 EMPTY = Partition(())
@@ -265,7 +271,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
         return
     parts = [n]
     while True:
-        yield Partition(parts)
+        yield _trusted(tuple(parts))
         k = len(parts) - 1
         while k >= 0 and parts[k] == 1:
             k -= 1

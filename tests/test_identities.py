@@ -276,6 +276,20 @@ def _shifted_hook(cs, lam):
     return RatFunc(T + cs.hook) * Fraction(1, cs.hook)
 
 
+def _mixed_weight(cs, lam):
+    """A zero, int, Fraction, MultiPoly or RatFunc with a denominator, by cell."""
+    k = (cs.i + 2 * cs.j + cs.hook) % 5
+    if k == 0:
+        return 0 if cs.hook == 4 else cs.hook
+    if k == 1:
+        return Fraction(-cs.hook, cs.arm + 2)
+    if k == 2:
+        return T + cs.content
+    if k == 3:
+        return RatFunc(T - cs.content, T + cs.hook)
+    return RatFunc(T + cs.leg) * Fraction(1, cs.hook)
+
+
 @pytest.mark.parametrize(
     "max_n, weight, oracle_weight, cell_filter",
     [
@@ -288,8 +302,14 @@ def _shifted_hook(cs, lam):
             _shifted_hook,
             lambda cs: cs.arm == 0,
         ),
+        (8, lambda cs, lam: Fraction(cs.c_sp, cs.hook), None, None),
+        (8, lambda cs, lam: T + cs.content * Q, None, None),
+        (7, _mixed_weight, None, None),
     ],
-    ids=["surd", "reciprocal-hook", "content-over-hook", "arm-zero"],
+    ids=[
+        "surd", "reciprocal-hook", "content-over-hook", "arm-zero",
+        "symplectic-fraction", "bare-multipoly", "mixed-types",
+    ],
 )
 def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_filter):
     for n in range(max_n + 1):
@@ -297,6 +317,73 @@ def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_
         want = _per_cell_oracle(n, oracle_weight or weight, cell_filter)
         assert got == want
         assert got.render() == want.render()
+
+
+def test_product_sum_rejects_inexact_weights():
+    with pytest.raises(TypeError):
+        partition_product_sum(3, lambda cs, lam: 0.5)
+    with pytest.raises(TypeError):
+        partition_product_sum(3, lambda cs, lam: 1 if cs.arm else 1.0)
+
+
+def _per_summand_oracle(order, summand, mode):
+    """Add every summand as a reduced RatFunc, as the additive series once did."""
+    coeffs = []
+    for n in range(order + 1):
+        total = RatFunc.coerce(0)
+        for lam in partition_list(n):
+            items = cell_stats(lam) if mode == "cells" else lam.parts
+            for item in items:
+                total = total + RatFunc.coerce(summand(item, lam))
+        coeffs.append(total)
+    return coeffs
+
+
+def _mixed_cell_summand(cs, lam):
+    """Every summand type, picked by cell: zero, int, Fraction, MultiPoly
+    with and without a unit content, and RatFunc with and without a
+    denominator."""
+    k = (cs.i + cs.j + cs.hook) % 7
+    return [
+        0,
+        cs.hook - 3,
+        Fraction(cs.content, cs.hook),
+        Q ** cs.hook,
+        (T + cs.leg) * Fraction(-1, cs.hook + 1),
+        RatFunc(T * Q + cs.arm),
+        RatFunc(T + cs.content, T + cs.hook),
+    ][k]
+
+
+def _mixed_part_summand(p, lam):
+    k = (p + len(lam)) % 6
+    return [0, p, Fraction(1, p), Q**p * Fraction(2, 3), RatFunc(T - p), RatFunc(ONE, T + p)][k]
+
+
+@pytest.mark.parametrize(
+    "summand, mode",
+    [
+        (_mixed_cell_summand, "cells"),
+        (_mixed_part_summand, "parts"),
+        (lambda cs, lam: Fraction(cs.c_orth, cs.hook), "cells"),
+        (lambda cs, lam: Q ** (cs.hook**2) - Q ** cs.hook, "cells"),
+        (lambda p, lam: RatFunc(Q**p) * p, "parts"),
+    ],
+    ids=["cells-mixed", "parts-mixed", "cells-fraction", "cells-poly", "parts-ratfunc"],
+)
+def test_additive_series_matches_per_summand_oracle(summand, mode):
+    got = partition_additive_series(7, summand, mode=mode)
+    want = _per_summand_oracle(7, summand, mode)
+    for n in range(8):
+        assert got.coefficient(n) == want[n]
+        assert got.coefficient(n).render() == want[n].render()
+
+
+def test_additive_series_rejects_inexact_summands():
+    with pytest.raises(TypeError):
+        partition_additive_series(3, lambda cs, lam: 0.5)
+    with pytest.raises(TypeError):
+        partition_additive_series(3, lambda p, lam: float(p), mode="parts")
 
 
 def test_additive_series_parts_vs_cells():

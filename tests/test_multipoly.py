@@ -464,3 +464,46 @@ def test_hash_agrees_with_equality_across_types():
     assert RatFunc(T) == T
     assert len({RatFunc(T), T}) == 1
     assert len({RatFunc.coerce(Fraction(1, 2)), Fraction(1, 2), MultiPoly.const(Fraction(1, 2))}) == 1
+
+
+def _repeated_product(p, n):
+    out = ONE
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        T,
+        MultiPoly.const(-3),
+        MultiPoly.monomial({"t": 2}, -1),
+        MultiPoly.monomial({"q": 3}, Fraction(-2, 3)),
+        MultiPoly.monomial({"t": 1, "q": 2, "a": 3}, Fraction(5, 4)),
+    ],
+    ids=["var", "negative-constant", "negative", "rational", "multivariate"],
+)
+def test_monomial_power_matches_repeated_product(mono):
+    for n in (0, 1, 2, 5):
+        got = mono**n
+        want = _repeated_product(mono, n)
+        assert_canonical(got)
+        assert got == want
+        assert got.prim == want.prim and got.cont == want.cont
+        assert got.render() == want.render()
+    assert (mono**0).is_one()
+
+
+@pytest.mark.parametrize(
+    "scalar", [0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2)], ids=str
+)
+def test_ratfunc_times_scalar_matches_coerced_product(scalar):
+    for r in [RatFunc(T + Q, T - 1), RatFunc(T * Fraction(2, 3) - 1), RatFunc(ONE, Q + 2)]:
+        want = r * RatFunc.coerce(scalar)
+        for got in (r * scalar, scalar * r):
+            assert got == want
+            assert got.render() == want.render()
+            assert_canonical(got.num)
+            assert_canonical(got.den)
+            assert got.den.is_one() or got.den.lex_leading()[1] == 1

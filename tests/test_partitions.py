@@ -57,6 +57,34 @@ def test_partition_validation():
         Partition([1, 0])
     with pytest.raises(ValueError):
         next(partitions_of(-1))
+    # parts must be integers, not values that int() would truncate or parse
+    with pytest.raises(TypeError):
+        Partition([2.7, 1])
+    with pytest.raises(TypeError):
+        Partition(["3"])
+    assert Partition([True]) == Partition([1])
+
+
+def test_enumerated_partitions_equal_validated_ones():
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert type(lam.parts) is tuple
+            assert all(type(p) is int for p in lam.parts)
+            assert lam == Partition(lam.parts)
+            assert lam.parts == Partition(list(lam.parts)).parts
+
+
+def test_conjugate_counts_columns():
+    for n in range(13):
+        for lam in partition_list(n):
+            width = lam.parts[0] if lam.parts else 0
+            columns = tuple(
+                sum(1 for p in lam.parts if p >= j) for j in range(1, width + 1)
+            )
+            conj = lam.conjugate()
+            assert conj.parts == columns
+            assert conj == Partition(columns)
+            assert conj.conjugate() == lam
 
 
 @given(any_partition)
