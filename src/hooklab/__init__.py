@@ -31,7 +31,6 @@ from .partitions import (
     CellStats,
     CoreFamily,
     Partition,
-    PartStatistics,
     cell_stats,
     enumerate_sss_cores,
     hook_part_census,
@@ -67,7 +66,6 @@ __all__ = [
     "NonPolynomialResult",
     "NotSquare",
     "NotUnivariate",
-    "PartStatistics",
     "Partition",
     "RatFunc",
     "Report",

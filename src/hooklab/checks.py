@@ -27,7 +27,6 @@ from .partitions import (
 from .permstats import (
     bell_number,
     bell_poly,
-    cycle_types,
     egf_cycle_statistic,
     eulerian_coeff_A,
     eulerian_coeff_B,
@@ -302,10 +301,9 @@ def _run_L23(bounds):
     for n in range(1, bounds["max_n"] + 1):
         s_f = s_g = s_d = 0
         for lam in partition_list(n):
-            st = lam.part_statistics()
-            s_f += st.f1
-            s_g += st.g1
-            s_d += st.d1
+            s_f += lam.parts.count(1)
+            s_g += len(set(lam.parts))
+            s_d += lam.hook_lengths().count(1)
         if not (s_f == s_g == s_d):
             return _bad(f"n={n}: {s_f}, {s_g}, {s_d}")
         cumulative = sum(partition_count(k) for k in range(n))
@@ -323,7 +321,7 @@ def _run_L23(bounds):
 
 def _run_L31(bounds):
     order = bounds["order"]
-    lhs = egf_cycle_statistic(order, lambda ct: _T ** ct.odd * _Q ** ct.even)
+    lhs = egf_cycle_statistic(order, lambda lam: _T ** lam.odd * _Q ** lam.even)
     rhs = binomial_series(_T, "x", order) * binomial_series(
         (_Q - _T) * Fraction(1, 2), "x", order, deg=2
     )
@@ -334,10 +332,10 @@ def _run_L31(bounds):
 def _run_X32(bounds):
     order = bounds["order"]
     prod = partition_product_series(
-        order, lambda cs, lam: RatFunc(_T + cs.content) * RatFunc(_V + cs.content) * Fraction(1, cs.hook ** 2)
+        order, lambda cs, lam: (_T + cs.content) * (_V + cs.content) * Fraction(1, cs.hook ** 2)
     )
     closed = binomial_series(_T * _V, "x", order)
-    egf = egf_cycle_statistic(order, lambda ct: (_T * _V) ** ct.kappa)
+    egf = egf_cycle_statistic(order, lambda lam: (_T * _V) ** len(lam))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)
     return _bad(w) if w else _ok("partition product, binomial power, and cycle sum all agree")
 
@@ -345,12 +343,12 @@ def _run_X32(bounds):
 def _run_X33(bounds):
     order = bounds["order"]
     prod = partition_product_series(
-        order, lambda cs, lam: RatFunc(_T + cs.content) * Fraction(1, cs.hook)
+        order, lambda cs, lam: (_T + cs.content) * Fraction(1, cs.hook)
     )
     closed = binomial_series(_T, "x", order) * binomial_series(
         binomial_poly(_T, 2), "x", order, deg=2
     )
-    egf = egf_cycle_statistic(order, lambda ct: _T ** (ct.odd + 2 * ct.even))
+    egf = egf_cycle_statistic(order, lambda lam: _T ** (lam.odd + 2 * lam.even))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)
     return _bad(w) if w else _ok()
 
@@ -358,7 +356,7 @@ def _run_X33(bounds):
 def _run_X34(bounds):
     for n in range(bounds["max_n"] + 1):
         total = partition_product_sum(
-            n, lambda cs, lam: RatFunc(_T + cs.content) * Fraction(1, cs.hook ** 2)
+            n, lambda cs, lam: (_T + cs.content) * Fraction(1, cs.hook ** 2)
         )
         if total != RatFunc.coerce(_T ** n * Fraction(1, math.factorial(n))):
             return _bad(f"n={n}: {total.render()}")
@@ -367,8 +365,8 @@ def _run_X34(bounds):
 
 def _run_X35(bounds):
     order = bounds["order"]
-    base = egf_cycle_statistic(order, lambda ct: _A ** ct.odd)
-    both = egf_cycle_statistic(order, lambda ct: _A ** ct.odd * _B ** ct.kappa)
+    base = egf_cycle_statistic(order, lambda lam: _A ** lam.odd)
+    both = egf_cycle_statistic(order, lambda lam: _A ** lam.odd * _B ** len(lam))
     powered = (base.log() * _B).exp()
     w = _series_mismatch(both, powered)
     return _bad(w) if w else _ok()
@@ -427,7 +425,7 @@ def _run_C42(bounds):
     order = bounds["max_n"]
     lhs = egf_cycle_statistic(
         order,
-        lambda ct: (2 ** ct.kappa) * bell_poly(ct.kappa) if ct.even == 0 else 0,
+        lambda lam: (2 ** len(lam)) * bell_poly(len(lam)) if lam.even == 0 else 0,
     )
     accumulated = geometric("x", order) * TruncatedSeries.monomial("x", order, 1)
     rhs = (accumulated * (2 * _Z)).exp()
@@ -451,11 +449,12 @@ def _run_C43(bounds):
     for n in range(top_poly + 1):
         lhs_p = MultiPoly.const(0)
         rhs_p = MultiPoly.const(0)
-        for ct in cycle_types(n):
-            if ct.even == 0:
-                lhs_p = lhs_p + ct.class_size * (2 ** ct.kappa) * bell_poly(ct.kappa)
-            weight = math.prod(j ** m for j, m in ct.multiplicities().items())
-            rhs_p = rhs_p + ct.class_size * weight * (2 * _Z) ** ct.kappa
+        for lam in partition_list(n):
+            kappa = len(lam)
+            if lam.even == 0:
+                lhs_p = lhs_p + lam.class_size * (2 ** kappa) * bell_poly(kappa)
+            weight = math.prod(lam.parts)
+            rhs_p = rhs_p + lam.class_size * weight * (2 * _Z) ** kappa
         if lhs_p != rhs_p:
             return _bad(f"n={n}: {lhs_p.render()} vs {rhs_p.render()}")
     return _ok(
@@ -468,17 +467,18 @@ def _run_R41(bounds):
     for n in range(bounds["max_n"] + 1):
         lhs = Fraction(0)
         rhs = Fraction(0)
-        for ct in cycle_types(n):
-            mult = ct.multiplicities()
-            if ct.even == 0:
+        for lam in partition_list(n):
+            kappa = len(lam)
+            mult = lam.multiplicities()
+            if lam.even == 0:
                 denom = 1
                 for j, m in mult.items():
                     denom *= (j ** m) * math.factorial(m)
-                lhs += Fraction(2 ** ct.kappa * bell_number(ct.kappa), denom)
+                lhs += Fraction(2 ** kappa * bell_number(kappa), denom)
             denom = 1
             for m in mult.values():
                 denom *= math.factorial(m)
-            rhs += Fraction(2 ** ct.kappa, denom)
+            rhs += Fraction(2 ** kappa, denom)
         if lhs != rhs:
             return _bad(f"n={n}: {lhs} vs {rhs}")
     return _ok(
@@ -524,11 +524,11 @@ def _run_P61(bounds):
 
 
 def _sp_weight(cs, lam):
-    return RatFunc(_T + cs.c_sp) * Fraction(1, cs.hook)
+    return (_T + cs.c_sp) * Fraction(1, cs.hook)
 
 
 def _orth_weight(cs, lam):
-    return RatFunc(_T + cs.c_orth) * Fraction(1, cs.hook)
+    return (_T + cs.c_orth) * Fraction(1, cs.hook)
 
 
 def _run_C62a(bounds):
@@ -574,10 +574,10 @@ def _run_C62c(bounds):
 def _run_C63a(bounds):
     order = bounds["order"]
     sp = partition_product_series(
-        order, lambda cs, lam: RatFunc(_T + cs.c_sp ** 2) * Fraction(1, cs.hook ** 2)
+        order, lambda cs, lam: (_T + cs.c_sp ** 2) * Fraction(1, cs.hook ** 2)
     )
     oc = partition_product_series(
-        order, lambda cs, lam: RatFunc(_T + cs.c_orth ** 2) * Fraction(1, cs.hook ** 2)
+        order, lambda cs, lam: (_T + cs.c_orth ** 2) * Fraction(1, cs.hook ** 2)
     )
     rhs = eta_product([(4, 2, 1), (1, 0, _T)], order)
     w = _series_mismatch(sp, oc) or _series_mismatch(sp, rhs)

@@ -26,7 +26,6 @@ from .partitions import (
     cell_stats,
     partition_list,
 )
-from .permstats import cycle_types
 from .series import (
     TruncatedSeries,
     eta_product,
@@ -489,25 +488,25 @@ def cycle_index_determinant(m: Matrix, sign_convention: str = "newton") -> Fract
     """(1/n!) sum over S_n of sign * t_1^c_1 ... t_n^c_n with t_i = tr(M^i).
 
     sign_convention="newton" uses (-1)^(n - cycles), which reproduces det(M);
-    "alternating" uses (-1)^(cycles - 1).  Both are computed over cycle types
-    with class sizes, never permutation by permutation.
+    "alternating" uses (-1)^(cycles - 1).  Both sum over the partitions of n
+    read as cycle lengths, weighted by their class sizes, never permutation
+    by permutation.
     """
     if sign_convention not in ("newton", "alternating"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
     n = _validate_square(m)
-    traces = []
-    power = m
-    for _ in range(n):
-        traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
-        power = _mat_mul(power, m)
+    powers = [m]
+    for _ in range(n - 1):
+        powers.append(_mat_mul(powers[-1], m))
+    traces = [sum((p[i][i] for i in range(n)), Fraction(0)) for p in powers]
     total = Fraction(0)
-    for ct in cycle_types(n):
+    for lam in partition_list(n):
         prod = Fraction(1)
-        for j in ct.lengths:
+        for j in lam.parts:
             prod *= traces[j - 1]
         if sign_convention == "newton":
-            sign = -1 if (n - ct.kappa) % 2 else 1
+            sign = -1 if (n - len(lam)) % 2 else 1
         else:
-            sign = -1 if (ct.kappa - 1) % 2 else 1
-        total += sign * ct.class_size * prod
+            sign = -1 if (len(lam) - 1) % 2 else 1
+        total += sign * lam.class_size * prod
     return total / math.factorial(n)

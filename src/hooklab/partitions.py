@@ -196,34 +196,21 @@ class Partition:
             out[p] = out.get(p, 0) + 1
         return out
 
-    def part_statistics(self) -> "PartStatistics":
-        f1 = sum(1 for p in self.parts if p == 1)
-        g1 = len(set(self.parts))
-        d1 = sum(1 for h in self.hook_lengths() if h == 1)
-        return PartStatistics(
-            f1=f1,
-            g1=g1,
-            d1=d1,
-            multiplicities=self.multiplicities(),
-            odd=sum(1 for p in self.parts if p % 2),
-            even=sum(1 for p in self.parts if p % 2 == 0),
-            length=len(self.parts),
-        )
+    @property
+    def odd(self) -> int:
+        return sum(1 for p in self.parts if p % 2)
 
+    @property
+    def even(self) -> int:
+        return len(self.parts) - self.odd
 
-@dataclass(frozen=True)
-class PartStatistics:
-    """f1 = multiplicity of part 1, g1 = distinct part values, d1 = cells of
-    hook length 1 (always equal to g1), plus the multiplicity map k_j, counts
-    of odd and even parts, and the length."""
-
-    f1: int
-    g1: int
-    d1: int
-    multiplicities: dict[int, int]
-    odd: int
-    even: int
-    length: int
+    @property
+    def class_size(self) -> int:
+        """n!/z_lambda, the permutations of S_n whose cycle lengths are these parts."""
+        z = 1
+        for j, m in self.multiplicities().items():
+            z *= j**m * math.factorial(m)
+        return math.factorial(self.n) // z
 
 
 class CellStats(NamedTuple):

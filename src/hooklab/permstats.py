@@ -1,79 +1,37 @@
-"""Symmetric-group statistics carried entirely by cycle types.
+"""Symmetric-group statistics carried entirely by conjugacy classes.
 
 A conjugacy class of the symmetric group is a partition of n read as cycle
-lengths; its class size n!/prod(j^m_j * m_j!) lets every permutation sum be
-computed without enumerating permutations.  Eulerian polynomials of both
-classical types, their q-analogue, Stirling/Bell machinery and involution
-trace moments live here too.
+lengths; its class size n!/prod(j^m_j * m_j!) (`Partition.class_size`) lets
+every permutation sum be computed without enumerating permutations.
+Eulerian polynomials of both classical types, their q-analogue, Stirling/Bell
+machinery and involution trace moments live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import NonPolynomialResult
 from .multipoly import MultiPoly, ONE, RatFunc, exact_div
-from .partitions import partition_list
+from .partitions import Partition, partition_list
 from .series import TruncatedSeries, gaussian_binomial, qpoch_poly
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle lengths of a conjugacy class, weakly decreasing."""
-
-    lengths: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.lengths)
-
-    @property
-    def kappa(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def odd(self) -> int:
-        return sum(1 for j in self.lengths if j % 2)
-
-    @property
-    def even(self) -> int:
-        return sum(1 for j in self.lengths if j % 2 == 0)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j in self.lengths:
-            out[j] = out.get(j, 0) + 1
-        return out
-
-    @property
-    def class_size(self) -> int:
-        denom = 1
-        for j, m in self.multiplicities().items():
-            denom *= j**m * math.factorial(m)
-        return math.factorial(self.n) // denom
-
-
-def cycle_types(n: int) -> Iterator[CycleType]:
-    """One CycleType per partition of n; class sizes sum to n!."""
-    for lam in partition_list(n):
-        yield CycleType(lam.parts)
-
-
-def egf_cycle_statistic(order: int, weight: Callable[[CycleType], object]):
+def egf_cycle_statistic(order: int, weight: Callable[[Partition], object]):
     """Exponential generating series sum_n x^n/n! sum_{pi in S_n} w(pi).
 
-    The weight must be a class function, supplied on cycle types; the x^n
-    coefficient is (1/n!) * sum over types of class_size * weight(type).
+    The weight must be a class function, supplied on the partition of n
+    formed by the cycle lengths; the x^n coefficient is
+    (1/n!) * sum over partitions lam of lam.class_size * weight(lam).
     """
     coeffs = []
     for n in range(order + 1):
         total = RatFunc.coerce(0)
-        for ct in cycle_types(n):
-            total = total + RatFunc.coerce(weight(ct)) * ct.class_size
+        for lam in partition_list(n):
+            total = total + RatFunc.coerce(weight(lam)) * lam.class_size
         coeffs.append(total * Fraction(1, math.factorial(n)))
     return TruncatedSeries("x", order, coeffs)
 
@@ -114,9 +72,9 @@ def involution_count(n: int) -> int:
     return involution_count(n - 1) + (n - 1) * involution_count(n - 2)
 
 
-def involution_egf(order: int, var: str = "z") -> TruncatedSeries:
+def involution_egf(order: int) -> TruncatedSeries:
     """exp(z + z^2/2), the exponential generating series of involutions."""
-    return TruncatedSeries(var, order, [0, 1, Fraction(1, 2)]).exp()
+    return TruncatedSeries("z", order, [0, 1, Fraction(1, 2)]).exp()
 
 
 def involution_trace_moment(n: int, k: int) -> int:

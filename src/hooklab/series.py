@@ -299,14 +299,14 @@ def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
     return TruncatedSeries(var, order, coeffs)
 
 
-def binomial_series(exponent, var: str, order: int, deg: int = 1, coeff=1):
-    """(1 - coeff*var^deg)^(-exponent) via exp(exponent * -log(1 - ...)).
+def binomial_series(exponent, var: str, order: int, deg: int = 1):
+    """(1 - var^deg)^(-exponent) via exp(exponent * -log(1 - var^deg)).
 
     The exponent may be any polynomial (or rational constant); coefficients of
     the result are polynomials in the exponent's variables.
     """
     e = RatFunc.coerce(exponent)
-    return (log_one_minus(var, order, deg, coeff) * (-e)).exp()
+    return (log_one_minus(var, order, deg) * (-e)).exp()
 
 
 def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int, order: int):
@@ -383,15 +383,15 @@ def binomial_poly(p: MultiPoly, k: int) -> MultiPoly:
     return result / Fraction(math.factorial(k))
 
 
-def eta_product(factors, order: int, var: str = "x") -> TruncatedSeries:
+def eta_product(factors, order: int) -> TruncatedSeries:
     """prod over (stride, offset, exponent[, plus]) of
-    prod_{j>=1} (1 - var^(stride*j - offset))^(-exponent).
+    prod_{j>=1} (1 - x^(stride*j - offset))^(-exponent).
 
     Exponents may be polynomials.  A factor tuple may carry a fourth, boolean
     entry selecting (1 + ...) instead of (1 - ...).  The logs of all factors
     are summed and exponentiated once.
     """
-    total = TruncatedSeries.zero(var, order)
+    total = TruncatedSeries.zero("x", order)
     for fac in factors:
         stride, offset, expo = fac[:3]
         plus = len(fac) > 3 and fac[3]
@@ -400,5 +400,5 @@ def eta_product(factors, order: int, var: str = "x") -> TruncatedSeries:
         neg_e = -RatFunc.coerce(expo)
         for deg in range(stride - offset, order + 1, stride):
             if deg >= 1:
-                total = total + log_one_minus(var, order, deg, -1 if plus else 1) * neg_e
+                total = total + log_one_minus("x", order, deg, -1 if plus else 1) * neg_e
     return total.exp()

@@ -1,8 +1,8 @@
 """Exact real-root counting for univariate rational polynomials.
 
-Sturm chains over Fraction coefficients: the chain is built on the squarefree
-part (polynomial divided by gcd with its derivative), so the root count is a
-count of distinct real roots and simplicity is read off the gcd degree.
+Sturm chains over Fraction coefficients: the chain of p and p' counts the
+distinct real roots of p even when p is not squarefree, and its last entry
+is gcd(p, p') up to a scalar, so simplicity is read off that entry's degree.
 Integer content is stripped at every remainder step to keep coefficients
 small.  No numerics are involved anywhere.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MultiPoly, _fraction_content, dense_rem, exact_div, poly_gcd
+from .multipoly import MultiPoly, _fraction_content, dense_rem
 
 
 def _sign(x: Fraction) -> int:
@@ -56,9 +56,7 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
         raise ValueError("sturm analysis of the zero polynomial")
     if len(dense) == 1:
         return SturmReport(0, True, True)
-    g = poly_gcd(p, p.derivative(name))
-    squarefree = exact_div(p, g)
-    chain = [squarefree.dense_coeffs(name), squarefree.derivative(name).dense_coeffs(name)]
+    chain = [dense, p.derivative(name).dense_coeffs(name)]
     while True:
         r = dense_rem(chain[-2], chain[-1])
         if not r:
@@ -68,9 +66,10 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
         chain.append([-v / c for v in r])
     v_minus = _var_at_minus_inf(chain)
     total = v_minus - _var_at_plus_inf(chain)
-    # V(-inf) - V(0) counts the roots in (-inf, 0]; drop a root at the origin
-    negatives = v_minus - _var_at_zero(chain) - (chain[0][0] == 0)
-    return SturmReport(total, g.is_one(), negatives == total)
+    # A root at 0 is not negative; any other p(0) leaves V(0) well defined,
+    # and V(-inf) - V(0) counts the roots in (-inf, 0).
+    negative = dense[0] != 0 and v_minus - _var_at_zero(chain) == total
+    return SturmReport(total, len(chain[-1]) == 1, negative)
 
 
 def unimodal(p: MultiPoly, name: str = "t") -> bool:

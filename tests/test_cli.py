@@ -186,3 +186,11 @@ def test_installed_entry_point():
             )
             assert proc.returncode == code, proc.stderr
             assert proc.stdout.splitlines()[1].startswith(row)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hooklab.__all__ if not hasattr(hooklab, name)]
+    assert missing == []
+    namespace = {}
+    exec("from hooklab import *", namespace)
+    assert set(hooklab.__all__) <= set(namespace)

@@ -163,21 +163,21 @@ def test_rr_sets_are_equinumerous():
 
 def test_statistics_fields():
     lam = Partition([3, 3, 1])
-    stats = lam.part_statistics()
-    assert stats.f1 == 1
-    assert stats.g1 == 2
-    assert stats.d1 == 2  # always equals g1
-    assert stats.multiplicities == {3: 2, 1: 1}
-    assert stats.odd == 3
-    assert stats.even == 0
-    assert stats.length == 3
+    assert lam.parts.count(1) == 1
+    assert len(set(lam.parts)) == 2
+    assert lam.hook_lengths().count(1) == 2  # always equals the distinct parts
+    assert lam.multiplicities() == {3: 2, 1: 1}
+    assert lam.odd == 3
+    assert lam.even == 0
+    assert len(lam) == 3
+    assert lam.class_size == math.factorial(7) // (3**2 * 2 * 1)  # n!/z_lambda = 280
 
 
 @given(any_partition)
 def test_unit_hooks_count_distinct_parts(lam):
-    stats = lam.part_statistics()
-    assert stats.d1 == sum(1 for h in lam.hook_lengths() if h == 1)
-    assert stats.d1 == stats.g1
+    d1 = lam.hook_lengths().count(1)
+    assert d1 == sum(1 for h in lam.hook_lengths() if h == 1)
+    assert d1 == len(set(lam.parts))
 
 
 def test_hook_part_census_balance():

@@ -9,10 +9,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from hooklab.multipoly import MultiPoly
+from hooklab.partitions import partition_list
 from hooklab.permstats import (
     bell_number,
     bell_poly,
-    cycle_types,
     egf_cycle_statistic,
     eulerian_A,
     eulerian_B,
@@ -143,35 +143,46 @@ def test_involution_egf_matches_counts():
 
 def test_cycle_type_class_sizes_partition_the_group():
     for n in range(9):
-        assert sum(ct.class_size for ct in cycle_types(n)) == math.factorial(n)
-        for ct in cycle_types(n):
-            assert ct.odd + ct.even == ct.kappa
-            assert sum(j * m for j, m in ct.multiplicities().items()) == n
+        assert sum(lam.class_size for lam in partition_list(n)) == math.factorial(n)
+        for lam in partition_list(n):
+            assert lam.odd + lam.even == len(lam)
+            assert sum(j * m for j, m in lam.multiplicities().items()) == n
 
 
-def _cycle_counts(pi):
-    n = len(pi)
-    seen = [False] * n
-    odd = even = 0
-    for i in range(n):
-        if seen[i]:
-            continue
+def _cycle_lengths(pi):
+    """Cycle lengths of a permutation of range(n), weakly decreasing."""
+    seen = [False] * len(pi)
+    lengths = []
+    for i in range(len(pi)):
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
             j = pi[j]
             length += 1
-        if length % 2:
-            odd += 1
-        else:
-            even += 1
-    return odd, even
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _cycle_counts(pi):
+    lengths = _cycle_lengths(pi)
+    odd = sum(1 for length in lengths if length % 2)
+    return odd, len(lengths) - odd
+
+
+def test_class_size_counts_permutations_by_cycle_lengths():
+    for n in range(7):
+        census = {}
+        for pi in permutations(range(n)):
+            key = _cycle_lengths(pi)
+            census[key] = census.get(key, 0) + 1
+        assert {lam.parts: lam.class_size for lam in partition_list(n)} == census
 
 
 def test_cycle_statistic_egf_against_brute_force():
     s = egf_cycle_statistic(
-        6, lambda ct: MultiPoly.monomial({"t": ct.odd, "q": ct.even})
+        6, lambda lam: MultiPoly.monomial({"t": lam.odd, "q": lam.even})
     )
     for n in range(7):
         acc = MultiPoly.const(0)
