@@ -17,7 +17,8 @@ from fractions import Fraction
 from .harness import Check
 from .multipoly import MultiPoly, RatFunc
 from .partitions import (
-    cell_stats,
+    Partition,
+    cell_stats,  # unused here; perfbench's tracer test rebinds checks.cell_stats
     enumerate_sss_cores,
     hook_part_census,
     partition_count,
@@ -42,12 +43,14 @@ from .permstats import (
 from .identities import (
     arm_zero_sum,
     hook_falling_factorial_moment,
-    cycle_index_determinant,
+    cycle_index_sum,
     det_cofactor,
     equivalence_classes_D,
     hook_square_polynomial,
     involution_moment_poly,
     leg_zero_sum,
+    linear_product_series,
+    linear_product_sum,
     marked_power_rhs_series,
     max_unit_hooks,
     multiplicity_binomial_sum,
@@ -57,6 +60,7 @@ from .identities import (
     partition_product_series,
     partition_product_sum,
     power_sum_rhs_series,
+    power_traces,
     rr_count_series,
     rr_product_series,
     rr_q_series,
@@ -102,6 +106,21 @@ def _series_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> str | None:
 
 def _comb(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _linear(content, power):
+    """linear_product_sum factors of prod_u (t + content(lam, u))/h_u^power."""
+    return lambda lam: (
+        [content(lam, i, j) for i, j in lam.cells()],
+        Fraction(1, math.prod(lam.hook_lengths()) ** power),
+    )
+
+
+def _constant(content, power):
+    """linear_product_sum factors of prod_u (content(lam, u)/h_u)^power: no shifts."""
+    return lambda lam: ((), Fraction(
+        math.prod(content(lam, i, j) for i, j in lam.cells()), math.prod(lam.hook_lengths())
+    ) ** power)
 
 
 # ----- descent polynomials ---------------------------------------------
@@ -342,9 +361,7 @@ def _run_X32(bounds):
 
 def _run_X33(bounds):
     order = bounds["order"]
-    prod = partition_product_series(
-        order, lambda cs, lam: (_T + cs.content) * Fraction(1, cs.hook)
-    )
+    prod = linear_product_series(order, _linear(lambda lam, i, j: j - i, 1))
     closed = binomial_series(_T, "x", order) * binomial_series(
         binomial_poly(_T, 2), "x", order, deg=2
     )
@@ -355,10 +372,8 @@ def _run_X33(bounds):
 
 def _run_X34(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = partition_product_sum(
-            n, lambda cs, lam: (_T + cs.content) * Fraction(1, cs.hook ** 2)
-        )
-        if total != RatFunc.coerce(_T ** n * Fraction(1, math.factorial(n))):
+        total = linear_product_sum(n, _linear(lambda lam, i, j: j - i, 2))
+        if total != _T ** n * Fraction(1, math.factorial(n)):
             return _bad(f"n={n}: {total.render()}")
     return _ok()
 
@@ -508,34 +523,18 @@ def _run_C52(bounds):
 
 def _run_P61(bounds):
     for n in range(bounds["max_n"] + 1):
-        sp = Fraction(0)
-        oc = Fraction(0)
-        for lam in partition_list(n):
-            ps = Fraction(1)
-            po = Fraction(1)
-            for cs in cell_stats(lam):
-                ps *= Fraction(cs.c_sp, cs.hook)
-                po *= Fraction(cs.c_orth, cs.hook)
-            sp += ps
-            oc += po
+        sp = linear_product_sum(n, _constant(Partition.symplectic_content, 1)).as_fraction()
+        oc = linear_product_sum(n, _constant(Partition.orthogonal_content, 1)).as_fraction()
         if sp != oc:
             return _bad(f"n={n}: {sp} vs {oc}")
     return _ok()
-
-
-def _sp_weight(cs, lam):
-    return (_T + cs.c_sp) * Fraction(1, cs.hook)
-
-
-def _orth_weight(cs, lam):
-    return (_T + cs.c_orth) * Fraction(1, cs.hook)
 
 
 def _run_C62a(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = partition_product_series(order, _sp_weight)
+    lhs = linear_product_series(order, _linear(Partition.symplectic_content, 1))
     rhs = eta_product(
         [(8, 0, -c2), (8, 2, c2 - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2m - 1)), (8, 6, c2m - 1)],
         order,
@@ -548,7 +547,7 @@ def _run_C62b(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = partition_product_series(order, _orth_weight)
+    lhs = linear_product_series(order, _linear(Partition.orthogonal_content, 1))
     rhs = eta_product(
         [(8, 0, -c2m), (8, 6, c2m - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2 - 1)), (8, 2, c2 - 1)],
         order,
@@ -559,9 +558,7 @@ def _run_C62b(bounds):
 
 def _run_C62c(bounds):
     order = bounds["order"]
-    lhs = partition_product_series(
-        order, lambda cs, lam: Fraction(cs.c_sp, cs.hook)
-    )
+    lhs = linear_product_series(order, _constant(Partition.symplectic_content, 1))
     rhs = eta_product([(4, 2, 1, True)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -573,11 +570,11 @@ def _run_C62c(bounds):
 
 def _run_C63a(bounds):
     order = bounds["order"]
-    sp = partition_product_series(
-        order, lambda cs, lam: (_T + cs.c_sp ** 2) * Fraction(1, cs.hook ** 2)
+    sp = linear_product_series(
+        order, _linear(lambda lam, i, j: lam.symplectic_content(i, j) ** 2, 2)
     )
-    oc = partition_product_series(
-        order, lambda cs, lam: (_T + cs.c_orth ** 2) * Fraction(1, cs.hook ** 2)
+    oc = linear_product_series(
+        order, _linear(lambda lam, i, j: lam.orthogonal_content(i, j) ** 2, 2)
     )
     rhs = eta_product([(4, 2, 1), (1, 0, _T)], order)
     w = _series_mismatch(sp, oc) or _series_mismatch(sp, rhs)
@@ -586,9 +583,7 @@ def _run_C63a(bounds):
 
 def _run_C63b(bounds):
     order = bounds["order"]
-    lhs = partition_product_series(
-        order, lambda cs, lam: Fraction(cs.c_sp ** 2, cs.hook ** 2)
-    )
+    lhs = linear_product_series(order, _constant(Partition.symplectic_content, 2))
     rhs = eta_product([(4, 2, 1)], order)
     w = _series_mismatch(lhs, rhs)
     return _bad(w) if w else _ok()
@@ -600,9 +595,7 @@ def _run_C63c(bounds):
         rhs = 0
         for lam in partition_list(n):
             f = lam.dim_sytx()
-            prod = 1
-            for cs in cell_stats(lam):
-                prod *= cs.c_sp
+            prod = math.prod(lam.symplectic_content(i, j) for i, j in lam.cells())
             lhs += f * f * prod * prod
             rhs += f * prod
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
@@ -634,9 +627,10 @@ def _run_P71(bounds):
             for _ in range(n)
         ]
         det = det_cofactor(m)
-        if cycle_index_determinant(m) != det:
+        traces = power_traces(m)
+        if cycle_index_sum(traces) != det:
             return _bad(f"trial {trial}, size {n}: trace form vs cofactor")
-        alt = cycle_index_determinant(m, sign_convention="alternating")
+        alt = cycle_index_sum(traces, sign_convention="alternating")
         if n % 2 == 1 and alt != det:
             alt_odd_matches = False
         if n % 2 == 0 and alt != -det:

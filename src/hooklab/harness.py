@@ -10,6 +10,7 @@ compute a cached value twice.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -135,7 +136,12 @@ def run_check(check_id: str, bounds: Mapping[str, int] | None = None) -> CheckRe
                 raise UnknownCheck(
                     f"{check_id} has no bound {k!r}; knobs: {sorted(merged)}"
                 )
-            merged[k] = int(v)
+            try:
+                merged[k] = operator.index(v)
+            except TypeError:
+                raise UnknownCheck(
+                    f"{check_id} bound {k} wants an integer, got {v!r}"
+                ) from None
     for k, v in merged.items():
         low = check.min_bounds.get(k, 1)
         if v < low:

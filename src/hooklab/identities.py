@@ -86,6 +86,30 @@ def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
     )
 
 
+def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
+    """sum over lambda |- n of w * prod_{r in shifts} (t + r), a polynomial in t.
+
+    factors(lambda) returns (shifts, w): a sequence of integer shifts and an
+    int or Fraction weight w; no shifts give the constant w.  The sum runs in
+    integer coefficient lists over the lcm of the weights' denominators.
+    """
+    terms = [factors(lam) for lam in partition_list(n)]
+    den = math.lcm(*(w.denominator for _, w in terms))
+    total = [0] * (1 + max(len(shifts) for shifts, _ in terms))
+    for shifts, w in terms:
+        scale = w.numerator * (den // w.denominator)
+        for d, c in enumerate(dense_linear_product(shifts)):
+            total[d] += scale * c
+    return MultiPoly.from_dense(total, "t") * Fraction(1, den)
+
+
+def linear_product_series(order: int, factors: Callable) -> TruncatedSeries:
+    """sum_n x^n linear_product_sum(n, factors)."""
+    return TruncatedSeries(
+        "x", order, [linear_product_sum(n, factors) for n in range(order + 1)]
+    )
+
+
 def partition_additive_series(
     order: int, summand: Callable, mode: str = "cells"
 ) -> TruncatedSeries:
@@ -130,19 +154,13 @@ def partition_gf(order: int) -> TruncatedSeries:
 
 
 def hook_square_polynomial(n: int) -> MultiPoly:
-    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t.
+    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t."""
 
-    Summed as (f^lambda)^2 prod_u (t + h_u^2) in integers over (n!)^2 by the
-    hook length formula f^lambda = n!/prod_u h_u.
-    """
-    nfact = math.factorial(n)
-    total = [0] * (n + 1)
-    for lam in partition_list(n):
+    def factors(lam):
         hooks = lam.hook_lengths()
-        f = nfact // math.prod(hooks)
-        for d, c in enumerate(dense_linear_product(h * h for h in hooks)):
-            total[d] += f * f * c
-    return MultiPoly.from_dense(total, "t") * Fraction(1, nfact * nfact)
+        return [h * h for h in hooks], Fraction(1, math.prod(hooks) ** 2)
+
+    return linear_product_sum(n, factors)
 
 
 def arm_zero_sum(n: int) -> RatFunc:
@@ -161,19 +179,14 @@ def leg_zero_sum(n: int) -> RatFunc:
 
 
 def multiplicity_binomial_sum(n: int) -> MultiPoly:
-    """sum over lambda of prod_j binom(k_j + t, k_j), k_j = multiplicity of j.
+    """sum over lambda of prod_j binom(k_j + t, k_j), k_j = multiplicity of j."""
 
-    Summed in integers over n!, since binom(t + k, k) = (t + 1)...(t + k)/k!.
-    """
-    nfact = math.factorial(n)
-    total = [0] * (n + 1)
-    for lam in partition_list(n):
+    def factors(lam):  # binom(t + k, k) = (t + 1)...(t + k)/k!
         ks = lam.multiplicities().values()
-        weight = nfact // math.prod(map(math.factorial, ks))
-        shifts = (i for k in ks for i in range(1, k + 1))
-        for d, c in enumerate(dense_linear_product(shifts)):
-            total[d] += weight * c
-    return MultiPoly.from_dense(total, "t") * Fraction(1, nfact)
+        shifts = [i for k in ks for i in range(1, k + 1)]
+        return shifts, Fraction(1, math.prod(map(math.factorial, ks)))
+
+    return linear_product_sum(n, factors)
 
 
 def max_unit_hooks(n: int) -> int:
@@ -484,21 +497,28 @@ def det_cofactor(m: Matrix) -> Fraction:
     return total
 
 
-def cycle_index_determinant(m: Matrix, sign_convention: str = "newton") -> Fraction:
-    """(1/n!) sum over S_n of sign * t_1^c_1 ... t_n^c_n with t_i = tr(M^i).
-
-    sign_convention="newton" uses (-1)^(n - cycles), which reproduces det(M);
-    "alternating" uses (-1)^(cycles - 1).  Both sum over the partitions of n
-    read as cycle lengths, weighted by their class sizes, never permutation
-    by permutation.
-    """
-    if sign_convention not in ("newton", "alternating"):
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
+def power_traces(m: Matrix) -> list[Fraction]:
+    """tr(M), tr(M^2), ..., tr(M^n) for an n x n matrix M."""
     n = _validate_square(m)
     powers = [m]
     for _ in range(n - 1):
         powers.append(_mat_mul(powers[-1], m))
-    traces = [sum((p[i][i] for i in range(n)), Fraction(0)) for p in powers]
+    return [sum((p[i][i] for i in range(n)), Fraction(0)) for p in powers]
+
+
+def cycle_index_sum(
+    traces: Sequence[Fraction], sign_convention: str = "newton"
+) -> Fraction:
+    """(1/n!) sum over S_n of sign * t_1^c_1 ... t_n^c_n, t_i = traces[i - 1].
+
+    sign_convention="newton" uses (-1)^(n - cycles), which reproduces det(M)
+    from power_traces(M); "alternating" uses (-1)^(cycles - 1).  Both sum
+    over the partitions of n read as cycle lengths, weighted by their class
+    sizes, never permutation by permutation.
+    """
+    if sign_convention not in ("newton", "alternating"):
+        raise ValueError(f"unknown sign convention {sign_convention!r}")
+    n = len(traces)
     total = Fraction(0)
     for lam in partition_list(n):
         prod = Fraction(1)

@@ -4,8 +4,10 @@ Conventions (all 1-based):
   * cell (i, j) means row i, column j of the Young diagram;
   * hook(i, j) = parts[i] + conj[j] - i - j + 1, arm + leg + 1;
   * content(i, j) = j - i;
-  * the symplectic and orthogonal contents follow the two-case row/column
-    formulas, reading any index beyond the diagram as 0.
+  * the symplectic and orthogonal contents (the Partition methods
+    symplectic_content and orthogonal_content) follow the two-case row/column
+    formulas, reading any index beyond the diagram as 0;
+  * cell_stats gives each cell's CellStats: i, j, arm, leg, hook, content.
 
 Partitions of n are enumerated in reverse-lexicographic order, (n) first and
 (1, ..., 1) last.  That order is part of the contract: checks report the
@@ -220,21 +222,16 @@ class CellStats(NamedTuple):
     leg: int
     hook: int
     content: int
-    c_sp: int
-    c_orth: int
 
 
 def cell_stats(part: Partition) -> list[CellStats]:
     conj = part.conjugate().parts
-    c_sp, c_orth = part.symplectic_content, part.orthogonal_content
     out = []
     for i, p in enumerate(part.parts, start=1):
         for j in range(1, p + 1):
             arm = p - j
             leg = conj[j - 1] - i
-            out.append(
-                CellStats(i, j, arm, leg, arm + leg + 1, j - i, c_sp(i, j), c_orth(i, j))
-            )
+            out.append(CellStats(i, j, arm, leg, arm + leg + 1, j - i))
     return out
 
 

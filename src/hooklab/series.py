@@ -127,7 +127,10 @@ class TruncatedSeries:
         return self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):

@@ -156,7 +156,7 @@ def test_criterion_07_content_variant_suite(capfd):
         _expect(problems, "C6.3c", {"max_n": 14})
         _expect(problems, "P6.4", {"max_k": 6, "max_m": 5})
         lhs = partition_product_series(
-            2, lambda cs, lam: Fraction(cs.c_sp, cs.hook)
+            2, lambda cs, lam: Fraction(lam.symplectic_content(cs.i, cs.j), cs.hook)
         ).poly_coefficient(2)
         rhs = eta_product([(4, 2, 1, True)], 2).poly_coefficient(2)
         if lhs != MultiPoly.const(-1) or rhs != MultiPoly.const(-1):

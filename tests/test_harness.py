@@ -55,6 +55,14 @@ def test_run_check_unknown_bound():
         run_check("L1.1", {"frobnication": 3})
 
 
+@pytest.mark.parametrize("value", [2.7, "3", None])
+def test_run_check_rejects_non_integer_bounds(value):
+    # A float used to be truncated (2.7 ran as 2) and a string parsed.
+    with pytest.raises(UnknownCheck, match="max_n wants an integer"):
+        run_check("X3.4", {"max_n": value})
+    assert run_check("X3.4", {"max_n": 3}).bounds_used == {"max_n": 3}
+
+
 def test_bound_minimums_are_met_by_defaults():
     for c in registry():
         assert set(c.min_bounds) <= set(c.default_bounds)

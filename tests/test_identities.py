@@ -10,14 +10,17 @@ from fractions import Fraction
 
 import pytest
 
+from hooklab.checks import _constant, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
 from hooklab.identities import (
-    cycle_index_determinant,
+    cycle_index_sum,
     det_cofactor,
     equivalence_classes_D,
     hook_falling_factorial_moment,
     hook_square_polynomial,
     involution_moment_poly,
+    linear_product_series,
+    linear_product_sum,
     max_unit_hooks,
     multiplicity_binomial_sum,
     partition_additive_series,
@@ -25,6 +28,7 @@ from hooklab.identities import (
     partition_product_series,
     partition_product_sum,
     power_sum_rhs_series,
+    power_traces,
     rr_count_series,
     rr_product_series,
     rr_q_series,
@@ -154,6 +158,130 @@ def test_hook_square_and_multiplicity_invariants_past_default_bounds():
             assert p.degree("t") == n
             assert p.coeff_of("t", n).as_fraction() == Fraction(1, math.factorial(n))
             assert p.evaluate({"t": -1}) == (0 if n else 1)
+
+
+# ----- the linear product kernel ----------------------------------------------------
+
+
+def _content(lam, i, j):
+    return j - i
+
+
+_sp = Partition.symplectic_content
+_orth = Partition.orthogonal_content
+
+
+def _shift_weight(stat, square, power):
+    """Per-cell weight (t + a_u)/h_u^power with a_u = stat, squared if asked."""
+
+    def weight(cs, lam):
+        a = stat(lam, cs.i, cs.j)
+        return (T + (a * a if square else a)) * Fraction(1, cs.hook**power)
+
+    return weight
+
+
+def _scalar_weight(stat, power):
+    """Per-cell weight a_u^power / h_u^power."""
+    return lambda cs, lam: Fraction(stat(lam, cs.i, cs.j) ** power, cs.hook**power)
+
+
+# Each check's factors, built as the check builds them, beside the per-cell
+# weight that the generic partition_product_sum multiplies out cell by cell.
+PORTED_WEIGHTS = {
+    "X3.3": (_linear(_content, 1), _shift_weight(_content, False, 1)),
+    "X3.4": (_linear(_content, 2), _shift_weight(_content, False, 2)),
+    "C6.2a": (_linear(_sp, 1), _shift_weight(_sp, False, 1)),
+    "C6.2b": (_linear(_orth, 1), _shift_weight(_orth, False, 1)),
+    "C6.2c-and-P6.1-sp": (_constant(_sp, 1), _scalar_weight(_sp, 1)),
+    "P6.1-orth": (_constant(_orth, 1), _scalar_weight(_orth, 1)),
+    "C6.3a-sp": (
+        _linear(lambda lam, i, j: lam.symplectic_content(i, j) ** 2, 2),
+        _shift_weight(_sp, True, 2),
+    ),
+    "C6.3a-orth": (
+        _linear(lambda lam, i, j: lam.orthogonal_content(i, j) ** 2, 2),
+        _shift_weight(_orth, True, 2),
+    ),
+    "C6.3b": (_constant(_sp, 2), _scalar_weight(_sp, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PORTED_WEIGHTS))
+def test_linear_kernel_matches_generic_product_sum(name):
+    factors, cell_weight = PORTED_WEIGHTS[name]
+    for n in range(13):
+        got = RatFunc.coerce(linear_product_sum(n, factors))
+        want = partition_product_sum(n, cell_weight)
+        assert got == want, (name, n)
+        assert got.render() == want.render()
+
+
+def test_linear_series_matches_generic_product_series():
+    factors, cell_weight = PORTED_WEIGHTS["C6.2a"]
+    got = linear_product_series(8, factors)
+    assert got.first_difference(partition_product_series(8, cell_weight)) is None
+
+
+def _linear_product_oracle(n, factors):
+    """Multiply w * (t + r) factor by factor as MultiPolys, partition by partition."""
+    total = MultiPoly.const(0)
+    for lam in partition_list(n):
+        shifts, w = factors(lam)
+        prod = MultiPoly.const(w)
+        for r in shifts:
+            prod = prod * (T + r)
+        total = total + prod
+    return total
+
+
+EDGE_FACTORS = {
+    "empty-shifts": lambda lam: ((), Fraction(len(lam), 7)),
+    "zero-weight": lambda lam: (lam.hook_lengths(), len(lam) % 2),
+    "negative-shifts": lambda lam: (
+        [-h for h in lam.hook_lengths()] + [j - i - 3 for i, j in lam.cells()],
+        -1,
+    ),
+    # Denominators 2, 3, 4, 9, 5, 10 by length: the lcm grows as the sum runs
+    # and exceeds the largest denominator seen.
+    "mixed-denominators": lambda lam: (
+        [p - 2 for p in lam.parts],
+        Fraction((-1) ** len(lam), (10, 2, 3, 4, 9, 5)[len(lam) % 6]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FACTORS))
+def test_linear_kernel_edge_cases_match_factor_products(name):
+    factors = EDGE_FACTORS[name]
+    for n in range(10):
+        got = linear_product_sum(n, factors)
+        want = _linear_product_oracle(n, factors)
+        assert got == want, (name, n)
+        assert got.render() == want.render()
+
+
+def test_linear_kernel_small_and_degenerate_sums():
+    # n=0 sums over the empty partition alone.
+    assert linear_product_sum(0, lambda lam: ((), Fraction(3, 4))) == MultiPoly.const(
+        Fraction(3, 4)
+    )
+    assert linear_product_sum(0, lambda lam: ([5], 1)) == T + 5
+    assert linear_product_sum(0, lambda lam: (lam.hook_lengths(), 1)) == ONE
+    # [2] and [1,1] cancel; a zero weight everywhere sums to zero.
+    assert linear_product_sum(2, lambda lam: ([1, 2], 1 if len(lam) == 1 else -1)).is_zero()
+    assert linear_product_sum(6, lambda lam: ([3, -1], 0)).is_zero()
+    assert linear_product_sum(2, lambda lam: ([-1], Fraction(1, len(lam)))) == (
+        (T - 1) * Fraction(3, 2)
+    )
+
+
+def test_linear_kernel_rejects_inexact_weights():
+    # Only ints and Fractions carry a denominator; a float never sums silently.
+    with pytest.raises(AttributeError, match="denominator"):
+        linear_product_sum(3, lambda lam: ((), 0.5))
+    with pytest.raises(AttributeError, match="denominator"):
+        linear_product_sum(3, lambda lam: ([1], MultiPoly.const(1)))
 
 
 # ----- unit hooks -------------------------------------------------------------------
@@ -302,7 +430,7 @@ def _mixed_weight(cs, lam):
             _shifted_hook,
             lambda cs: cs.arm == 0,
         ),
-        (8, lambda cs, lam: Fraction(cs.c_sp, cs.hook), None, None),
+        (8, lambda cs, lam: Fraction(lam.symplectic_content(cs.i, cs.j), cs.hook), None, None),
         (8, lambda cs, lam: T + cs.content * Q, None, None),
         (7, _mixed_weight, None, None),
     ],
@@ -365,7 +493,7 @@ def _mixed_part_summand(p, lam):
     [
         (_mixed_cell_summand, "cells"),
         (_mixed_part_summand, "parts"),
-        (lambda cs, lam: Fraction(cs.c_orth, cs.hook), "cells"),
+        (lambda cs, lam: Fraction(lam.orthogonal_content(cs.i, cs.j), cs.hook), "cells"),
         (lambda cs, lam: Q ** (cs.hook**2) - Q ** cs.hook, "cells"),
         (lambda p, lam: RatFunc(Q**p) * p, "parts"),
     ],
@@ -458,22 +586,35 @@ def test_newton_sign_reproduces_determinants():
     for n in range(1, 6):
         for _ in range(8):
             m = _random_matrix(rng, n)
-            assert cycle_index_determinant(m) == det_cofactor(m)
+            assert cycle_index_sum(power_traces(m)) == det_cofactor(m)
 
 
 def test_alternating_sign_flips_with_parity():
     rng = random.Random(11)
     for n in range(1, 6):
         m = _random_matrix(rng, n)
-        alt = cycle_index_determinant(m, sign_convention="alternating")
+        alt = cycle_index_sum(power_traces(m), sign_convention="alternating")
         det = det_cofactor(m)
         assert alt == (det if n % 2 else -det)
+
+
+def test_p71_computes_each_matrix_power_once(monkeypatch):
+    # 50 matrices of sizes 1..6 need 126 products for M^2..M^n in all; the
+    # two sign conventions share one list of power traces per matrix.
+    import hooklab.identities as identities
+    from hooklab.harness import run_check
+
+    calls = []
+    mat_mul = identities._mat_mul
+    monkeypatch.setattr(identities, "_mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert run_check("P7.1").status == "verified"
+    assert len(calls) == 126
 
 
 def test_determinant_error_paths():
     with pytest.raises(NotSquare):
         det_cofactor([[1, 2]])
     with pytest.raises(NotSquare):
-        cycle_index_determinant([])
+        power_traces([])
     with pytest.raises(ValueError):
-        cycle_index_determinant([[Fraction(1)]], sign_convention="upside")
+        cycle_index_sum([Fraction(1)], sign_convention="upside")

@@ -38,6 +38,18 @@ def test_basic_algebra():
     assert (s * t).poly_coefficient(3).as_fraction() == 3
 
 
+def test_uncoercible_operands_are_not_implemented():
+    s = from_ints([1, 2, 3])
+    assert s.__sub__(0.5) is NotImplemented
+    assert s.__rsub__(0.5) is NotImplemented
+    with pytest.raises(TypeError, match="'float' and 'TruncatedSeries'"):
+        0.5 - s
+    with pytest.raises(TypeError):
+        s - 0.5
+    assert (1 - s).poly_coefficient(0).as_fraction() == 0
+    assert (1 - s).poly_coefficient(1).as_fraction() == -2
+
+
 def test_geometric_inverts_one_minus_x():
     one_minus = from_ints([1, -1])
     assert (geometric("x", ORD) * one_minus).first_difference(from_ints([1])) is None
