@@ -31,7 +31,6 @@ from .permstats import (
     egf_cycle_statistic,
     eulerian_coeff_A,
     eulerian_coeff_B,
-    eulerian_B,
     involution_count,
     involution_egf,
     involution_trace_moment,
@@ -44,7 +43,7 @@ from .identities import (
     arm_zero_sum,
     hook_falling_factorial_moment,
     cycle_index_sum,
-    det_cofactor,
+    det_bareiss,
     equivalence_classes_D,
     hook_square_polynomial,
     involution_moment_poly,
@@ -254,6 +253,7 @@ def _run_C18(bounds):
 
 
 def _run_C21(bounds):
+    sums = []
     for n in range(bounds["max_n"] + 1):
         arm = arm_zero_sum(n)
         mult = multiplicity_binomial_sum(n)
@@ -261,10 +261,10 @@ def _run_C21(bounds):
         leg = leg_zero_sum(n)
         if not (arm == RatFunc.coerce(mult) == RatFunc.coerce(full) == leg):
             return _bad(f"n={n}")
+        sums.append(full)
     order = bounds["eta_order"]
-    lhs = TruncatedSeries(
-        "x", order, [RatFunc.coerce(hook_square_polynomial(n)) for n in range(order + 1)]
-    )
+    sums += [hook_square_polynomial(n) for n in range(len(sums), order + 1)]
+    lhs = TruncatedSeries("x", order, sums)  # keeps the first order + 1
     rhs = eta_product([(1, 0, _T + 1)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -626,10 +626,10 @@ def _run_P71(bounds):
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
             for _ in range(n)
         ]
-        det = det_cofactor(m)
+        det = det_bareiss(m)
         traces = power_traces(m)
         if cycle_index_sum(traces) != det:
-            return _bad(f"trial {trial}, size {n}: trace form vs cofactor")
+            return _bad(f"trial {trial}, size {n}: trace form vs Bareiss determinant")
         alt = cycle_index_sum(traces, sign_convention="alternating")
         if n % 2 == 1 and alt != det:
             alt_odd_matches = False
@@ -638,7 +638,7 @@ def _run_P71(bounds):
     if not (alt_odd_matches and alt_even_negates):
         return _bad(
             "alternating sign did not follow the (-1)^(size+1) * det pattern",
-            "trace-sum determinant with the (-1)^(size-cycles) sign matched the cofactor oracle",
+            "trace-sum determinant with the (-1)^(size-cycles) sign matched the Bareiss determinant",
         )
     return _ok(
         "the (-1)^(size-cycles) sign reproduces the determinant on every trial; "

@@ -137,6 +137,8 @@ def run_check(check_id: str, bounds: Mapping[str, int] | None = None) -> CheckRe
                     f"{check_id} has no bound {k!r}; knobs: {sorted(merged)}"
                 )
             try:
+                if isinstance(v, bool):  # operator.index(True) is 1
+                    raise TypeError
                 merged[k] = operator.index(v)
             except TypeError:
                 raise UnknownCheck(

@@ -43,15 +43,20 @@ CellWeight = Callable[[CellStats, Partition], object]
 def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
     """sum over lambda |- n of the product of weight(u) over the cells of lambda.
 
-    Integer and Fraction weights multiply one scalar per partition and
-    polynomial weights multiply its numerator; neither is wrapped in a
-    RatFunc.  A float or other inexact weight raises TypeError.  The running
-    sum sits over prod f^(largest multiplicity so far) of the weights'
+    Integer and Fraction weights multiply one scalar per partition.  Every
+    other weight is a MultiPoly or RatFunc object (a float or other inexact
+    weight raises TypeError), and partitions are grouped by the multiset of
+    these objects, by identity: the product of each distinct multiset is
+    built once and scaled by the sum of its partitions' scalars.  So a weight
+    that returns one shared object per value (a table or a memoised function)
+    is multiplied once per distinct multiset; fresh objects give the same sum
+    but no sharing.  Products with equal denominators are added first, then
+    each such class is brought over prod f^(largest multiplicity) of the
     denominator factors f, and only the final quotient is reduced.
     """
-    total, den = ZERO, Counter()
+    objects, groups = {}, {}  # objects keeps every id distinct for the call
     for lam in partition_list(n):
-        num, scale, factors = ONE, 1, Counter()
+        scale, ids = 1, []
         for cs in cell_stats(lam):
             try:
                 w = weight(cs, lam)
@@ -61,22 +66,41 @@ def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
                 ) from exc
             if isinstance(w, (int, Fraction)):
                 scale *= w
-            elif isinstance(w, MultiPoly):
-                num = num * w
             else:
-                w = RatFunc.coerce(w)
-                num = num * w.num
-                if not w.den.is_one():
-                    factors[w.den] += 1
-        if scale != 1:
-            num = num * scale
-        for f, k in (factors - den).items():
-            total = total * f**k
-        den |= factors
-        for f, k in (den - factors).items():
-            num = num * f**k
+                if not isinstance(w, MultiPoly):
+                    w = RatFunc.coerce(w)
+                objects[id(w)] = w
+                ids.append(id(w))
+        key = tuple(sorted(ids))
+        groups[key] = groups.get(key, 0) + scale
+    parts, dens = {}, {}  # id -> (numerator, denominator index); den -> index
+    for i, w in objects.items():
+        if isinstance(w, MultiPoly):
+            parts[i] = w, None
+        else:
+            parts[i] = w.num, None if w.den.is_one() else dens.setdefault(w.den, len(dens))
+    classes = {}  # sorted denominator indices -> summed numerators
+    for key, scale in groups.items():
+        if not scale:
+            continue
+        num, ds = ONE, []
+        for i in key:
+            p, d = parts[i]
+            num = num * p
+            if d is not None:
+                ds.append(d)
+        ds = tuple(sorted(ds))
+        classes[ds] = classes.get(ds, ZERO) + num * scale
+    den = Counter()
+    for ds in classes:
+        den |= Counter(ds)
+    polys = list(dens)
+    total = ZERO
+    for ds, num in classes.items():
+        for d, k in (den - Counter(ds)).items():
+            num = num * polys[d] ** k
         total = total + num
-    return RatFunc(total, math.prod((f**m for f, m in den.items()), start=ONE))
+    return RatFunc(total, math.prod((polys[d] ** m for d, m in den.items()), start=ONE))
 
 
 def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
@@ -163,19 +187,22 @@ def hook_square_polynomial(n: int) -> MultiPoly:
     return linear_product_sum(n, factors)
 
 
+def _shifted_hooks(n: int) -> list[MultiPoly]:
+    """[(t + h)/h for h = 0..n]; entry 0 is unused.  One object per h, so
+    partition_product_sum multiplies each multiset of hooks once."""
+    t = MultiPoly.var("t")
+    return [ONE] + [(t + h) * Fraction(1, h) for h in range(1, n + 1)]
+
+
 def arm_zero_sum(n: int) -> RatFunc:
     """sum over lambda of prod over arm-free cells of (h_u + t)/h_u."""
-    t = MultiPoly.var("t")
-    return partition_product_sum(
-        n, lambda cs, lam: (t + cs.hook) * Fraction(1, cs.hook) if cs.arm == 0 else 1
-    )
+    table = _shifted_hooks(n)
+    return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.arm == 0 else 1)
 
 
 def leg_zero_sum(n: int) -> RatFunc:
-    t = MultiPoly.var("t")
-    return partition_product_sum(
-        n, lambda cs, lam: (t + cs.hook) * Fraction(1, cs.hook) if cs.leg == 0 else 1
-    )
+    table = _shifted_hooks(n)
+    return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.leg == 0 else 1)
 
 
 def multiplicity_binomial_sum(n: int) -> MultiPoly:
@@ -480,21 +507,36 @@ def _mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
     ]
 
 
-def det_cofactor(m: Matrix) -> Fraction:
-    """Cofactor expansion along the first row; the oracle for small matrices."""
+def det_bareiss(m: Matrix) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 1968).
+
+    Each row is scaled to integers by the lcm of its denominators, so every
+    step divides exactly in the integers.  A zero pivot is swapped with the
+    first lower row that has a nonzero entry in its column, flipping the
+    sign; if there is none, the determinant is 0.
+    """
     n = _validate_square(m)
-    if n == 1:
-        return Fraction(m[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != j] for row in list(m)[1:]
-        ]
-        sign = -1 if j % 2 else 1
-        total += sign * Fraction(m[0][j]) * det_cofactor(minor)
-    return total
+    a, scale = [], 1
+    for row in m:
+        row = [Fraction(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - c * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * a[-1][-1], scale)
 
 
 def power_traces(m: Matrix) -> list[Fraction]:

@@ -63,6 +63,13 @@ def test_run_check_rejects_non_integer_bounds(value):
     assert run_check("X3.4", {"max_n": 3}).bounds_used == {"max_n": 3}
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_run_check_rejects_bool_bounds(value):
+    # operator.index(True) is 1, so True used to run as max_n=1 and verify.
+    with pytest.raises(UnknownCheck, match="max_n wants an integer"):
+        run_check("X3.4", {"max_n": value})
+
+
 def test_bound_minimums_are_met_by_defaults():
     for c in registry():
         assert set(c.min_bounds) <= set(c.default_bounds)

@@ -13,12 +13,14 @@ import pytest
 from hooklab.checks import _constant, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
 from hooklab.identities import (
+    arm_zero_sum,
     cycle_index_sum,
-    det_cofactor,
+    det_bareiss,
     equivalence_classes_D,
     hook_falling_factorial_moment,
     hook_square_polynomial,
     involution_moment_poly,
+    leg_zero_sum,
     linear_product_series,
     linear_product_sum,
     max_unit_hooks,
@@ -386,6 +388,11 @@ def test_product_sum_surfaces_zero_division_with_location():
         partition_product_sum(2, lambda cs, lam: Fraction(1, cs.content))
     assert err.value.partition is not None
     assert err.value.cell is not None
+    # The first partition of 4 is (4), whose hooks are 4, 3, 2, 1.
+    with pytest.raises(WeightEvaluationError) as err:
+        partition_product_sum(4, lambda cs, lam: Fraction(1, cs.hook - 2))
+    assert err.value.partition == Partition((4,))
+    assert err.value.cell == (1, 3)
 
 
 def _per_cell_oracle(n, weight, cell_filter=None):
@@ -418,10 +425,43 @@ def _mixed_weight(cs, lam):
     return RatFunc(T + cs.leg) * Fraction(1, cs.hook)
 
 
+# One object per value, as a table or a memoised function returns them.
+_SHARED_HOOKS = {h: RatFunc(T + h, T + 2 * h) for h in range(1, 13)}
+
+
+def _shared_hook(cs, lam):
+    return _SHARED_HOOKS[cs.hook]
+
+
+def _fresh_hook(cs, lam):
+    return RatFunc(T + cs.hook, T + 2 * cs.hook)
+
+
+def _signed_corners(cs, lam):
+    """Content on corner cells, a shared object elsewhere.
+
+    Conjugation keeps the hook multiset and negates contents, so the scalar
+    sums of some multisets cancel to 0.
+    """
+    if cs.arm == cs.leg == 0:
+        return cs.content
+    return _SHARED_HOOKS[cs.hook]
+
+
+_SHARED_DENOMINATORS = [
+    [RatFunc(T + k, d) for k in range(3)] for d in (T + 1, T + 2, T * T + 3, ONE)
+]
+
+
+def _denominator_classes(cs, lam):
+    """Shared weights over four denominators, one of them 1."""
+    return _SHARED_DENOMINATORS[(cs.hook + cs.content) % 4][cs.hook % 3]
+
+
 @pytest.mark.parametrize(
     "max_n, weight, oracle_weight, cell_filter",
     [
-        (8, lambda cs, lam: surd_hook_factor(cs.hook), None, None),
+        (12, lambda cs, lam: surd_hook_factor(cs.hook), None, None),
         (7, lambda cs, lam: RatFunc(ONE, T + cs.hook), None, None),
         (7, lambda cs, lam: RatFunc(T + cs.content, T + cs.hook), None, None),
         (
@@ -433,10 +473,16 @@ def _mixed_weight(cs, lam):
         (8, lambda cs, lam: Fraction(lam.symplectic_content(cs.i, cs.j), cs.hook), None, None),
         (8, lambda cs, lam: T + cs.content * Q, None, None),
         (7, _mixed_weight, None, None),
+        # Equal-valued weights, shared or fresh, give the same sum.
+        (8, _shared_hook, None, None),
+        (8, _fresh_hook, None, None),
+        (9, _signed_corners, None, None),
+        (8, _denominator_classes, None, None),
     ],
     ids=[
         "surd", "reciprocal-hook", "content-over-hook", "arm-zero",
         "symplectic-fraction", "bare-multipoly", "mixed-types",
+        "shared", "fresh", "signed-corners", "denominator-classes",
     ],
 )
 def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_filter):
@@ -447,11 +493,25 @@ def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_
         assert got.render() == want.render()
 
 
+def test_hook_tables_match_per_cell_oracle():
+    for n in range(13):
+        for got, keep in ((arm_zero_sum(n), lambda cs: cs.arm == 0),
+                          (leg_zero_sum(n), lambda cs: cs.leg == 0)):
+            want = _per_cell_oracle(n, _shifted_hook, keep)
+            assert got == want
+            assert got.render() == want.render()
+
+
 def test_product_sum_rejects_inexact_weights():
     with pytest.raises(TypeError):
         partition_product_sum(3, lambda cs, lam: 0.5)
     with pytest.raises(TypeError):
         partition_product_sum(3, lambda cs, lam: 1 if cs.arm else 1.0)
+    # A zero scalar in the same partition does not hide the float.
+    with pytest.raises(TypeError):
+        partition_product_sum(3, lambda cs, lam: 0 if cs.j == 1 else 0.5)
+    with pytest.raises(TypeError):
+        partition_product_sum(3, lambda cs, lam: 0.5 if cs.j == 1 else 0)
 
 
 def _per_summand_oracle(order, summand, mode):
@@ -581,6 +641,55 @@ def _random_matrix(rng, n):
     ]
 
 
+def det_cofactor(m):
+    """Oracle: cofactor expansion along the first row, O(n!)."""
+    n = len(m)
+    if n == 1:
+        return Fraction(m[0][0])
+    total = Fraction(0)
+    for j in range(n):
+        if not m[0][j]:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * Fraction(m[0][j]) * det_cofactor(minor)
+    return total
+
+
+def _singular_matrix(rng, n):
+    """A random matrix with a zero column or a row that combines the others."""
+    m = _random_matrix(rng, n)
+    b = rng.randrange(n)
+    if n == 1 or rng.random() < 0.3:
+        for row in m:
+            row[b] = Fraction(0)
+        return m
+    ks = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(n) if i != b}
+    m[b] = [sum(k * m[i][j] for i, k in ks.items()) for j in range(n)]
+    return m
+
+
+def test_bareiss_matches_cofactor_oracle():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for _ in range(25):
+            m = _random_matrix(rng, n)
+            assert det_bareiss(m) == det_cofactor(m)
+            s = _singular_matrix(rng, n)
+            assert det_bareiss(s) == det_cofactor(s) == 0
+
+
+def test_bareiss_swaps_rows_at_zero_pivots():
+    # Zero leading entries force one or more row swaps, each flipping the sign.
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    m = [[Fraction(0), Fraction(2, 3), 1], [Fraction(1, 2), 0, 4], [5, 6, Fraction(7, 9)]]
+    assert det_bareiss(m) == det_cofactor(m)
+    assert det_bareiss([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
+    assert det_bareiss([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+
+
 def test_newton_sign_reproduces_determinants():
     rng = random.Random(7)
     for n in range(1, 6):
@@ -613,7 +722,9 @@ def test_p71_computes_each_matrix_power_once(monkeypatch):
 
 def test_determinant_error_paths():
     with pytest.raises(NotSquare):
-        det_cofactor([[1, 2]])
+        det_bareiss([[1, 2]])
+    with pytest.raises(NotSquare):
+        det_bareiss([])
     with pytest.raises(NotSquare):
         power_traces([])
     with pytest.raises(ValueError):
