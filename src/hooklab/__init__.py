@@ -10,6 +10,7 @@ from .errors import (
     BadConstantTerm,
     BudgetExceeded,
     DivisionByNonUnit,
+    ExponentOverflow,
     HooklabError,
     NonPolynomialResult,
     NotSquare,
@@ -60,6 +61,7 @@ __all__ = [
     "CheckResult",
     "CoreFamily",
     "DivisionByNonUnit",
+    "ExponentOverflow",
     "HooklabError",
     "MultiPoly",
     "NVARS",

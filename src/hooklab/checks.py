@@ -253,7 +253,6 @@ def _run_C18(bounds):
 
 
 def _run_C21(bounds):
-    sums = []
     for n in range(bounds["max_n"] + 1):
         arm = arm_zero_sum(n)
         mult = multiplicity_binomial_sum(n)
@@ -261,10 +260,8 @@ def _run_C21(bounds):
         leg = leg_zero_sum(n)
         if not (arm == RatFunc.coerce(mult) == RatFunc.coerce(full) == leg):
             return _bad(f"n={n}")
-        sums.append(full)
     order = bounds["eta_order"]
-    sums += [hook_square_polynomial(n) for n in range(len(sums), order + 1)]
-    lhs = TruncatedSeries("x", order, sums)  # keeps the first order + 1
+    lhs = TruncatedSeries("x", order, [hook_square_polynomial(n) for n in range(order + 1)])
     rhs = eta_product([(1, 0, _T + 1)], order)
     w = _series_mismatch(lhs, rhs)
     if w:

@@ -46,3 +46,7 @@ class WeightEvaluationError(HooklabError):
         super().__init__(message)
         self.partition = partition
         self.cell = cell
+
+
+class ExponentOverflow(HooklabError):
+    """A monomial exponent reached multipoly.EXP_LIMIT, the bound of a packed exponent slot."""

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
 from .multipoly import (
-    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, ZERO_EXP, dense_linear_product
+    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, dense_linear_product, from_packed
 )
 from .partitions import (
     CellStats,
@@ -158,14 +158,14 @@ def partition_additive_series(
                 if isinstance(s, RatFunc) and s.den.is_one():
                     s = s.num
                 if isinstance(s, (int, Fraction)):
-                    terms[ZERO_EXP] = terms.get(ZERO_EXP, 0) + s
+                    terms[0] = terms.get(0, 0) + s  # 0 packs the constant monomial
                 elif isinstance(s, MultiPoly):
                     cont = s.cont
                     for exp, c in s.prim.items():
                         terms[exp] = terms.get(exp, 0) + (c if cont == 1 else cont * c)
                 else:
                     rest = rest + RatFunc.coerce(s)
-        coeffs.append(RatFunc(MultiPoly(terms)) + rest)
+        coeffs.append(RatFunc(from_packed(terms)) + rest)
     return TruncatedSeries("x", order, coeffs)
 
 
@@ -177,8 +177,12 @@ def partition_gf(order: int) -> TruncatedSeries:
 # ----- hook-square polynomials (real-rootedness targets) ------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def hook_square_polynomial(n: int) -> MultiPoly:
-    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t."""
+    """sum over lambda |- n of prod_u (h_u^2 + t)/h_u^2 as a polynomial in t.
+
+    Memoised: C2.1, C2.2a and C2.2b all walk the same P_n.
+    """
 
     def factors(lam):
         hooks = lam.hook_lengths()

@@ -11,6 +11,18 @@ variable set is fixed once for the whole package (VARIABLES), so exponent
 vectors built in different modules always line up and cross-module
 arithmetic needs no variable bookkeeping.
 
+Inside ``prim`` each exponent vector is packed into one non-negative int
+key: variable i takes a SLOT_BITS-wide slot, with t in the most
+significant slot, so int order on keys is the lexicographic order of the
+vectors, and the product of two monomials is the sum of their keys.  The
+top bit of every slot is a guard bit: an exponent must stay below
+EXP_LIMIT = 2**31, so adding two keys never carries from one slot into the
+next, and a constructor, product or power that would reach the limit
+raises ExponentOverflow.  The public interface (``MultiPoly(terms)``,
+``.terms``, ``lex_leading()``) speaks exponent tuples; the constructor
+rejects a tuple of the wrong length, a negative exponent (ValueError) and
+an exponent that is not an int (TypeError).
+
 RatFunc is a quotient of two MultiPoly values kept in reduced form: the gcd
 of numerator and denominator is divided out and both are rescaled so the
 denominator's lexicographically leading coefficient is 1.  Equal values then
@@ -21,8 +33,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
+
+from .errors import ExponentOverflow, NonPolynomialResult, NotUnivariate
 
 #: Coefficient variables, in the fixed order used by every exponent vector.
 #: t, q, v, a, b, z are the scalar parameters appearing in identities; the
@@ -33,7 +46,45 @@ VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 ZERO_EXP = (0,) * NVARS
 
+#: Width of one exponent slot of a packed key; see the module docstring.
+SLOT_BITS = 32
+#: Every exponent of every monomial stays below this.
+EXP_LIMIT = 1 << (SLOT_BITS - 1)
+_SHIFTS = tuple(SLOT_BITS * (NVARS - 1 - i) for i in range(NVARS))
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+_GUARDS = sum(EXP_LIMIT << s for s in _SHIFTS)
+
 Scalar = Union[int, Fraction]
+
+
+def _exponent(name: str, e) -> int:
+    """e, checked to be an int with 0 <= e < EXP_LIMIT."""
+    if not isinstance(e, int):
+        raise TypeError(f"the exponent of {name} must be an int, got {type(e).__name__}")
+    if e < 0:
+        raise ValueError("monomials need nonnegative exponents")
+    if e >= EXP_LIMIT:
+        raise _overflow(name, e)
+    return e
+
+
+def _pack(exp: Sequence[int]) -> int:
+    """The key of an exponent vector of NVARS ints."""
+    if len(exp) != NVARS:
+        raise ValueError(f"exponent vectors have {NVARS} entries, got {len(exp)}")
+    key = 0
+    for name, e in zip(VARIABLES, exp):
+        key = key << SLOT_BITS | _exponent(name, e)
+    return key
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    """The exponent vector of a key; the inverse of _pack."""
+    return tuple(key >> s & _SLOT_MASK for s in _SHIFTS)
+
+
+def _overflow(name: str, e: int) -> ExponentOverflow:
+    return ExponentOverflow(f"{name}^{e}: exponents must stay below {EXP_LIMIT}")
 
 
 def _as_fraction(value) -> Fraction:
@@ -93,15 +144,8 @@ class MultiPoly:
     __slots__ = ("prim", "cont")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c:
-                    clean[tuple(exp)] = c
-        cont = _fraction_content(clean.values())
-        self.prim = {exp: (c / cont).numerator for exp, c in clean.items()}
-        self.cont = cont
+        p = from_packed({_pack(exp): c for exp, c in (terms or {}).items()})
+        self.prim, self.cont = p.prim, p.cont
 
     # ----- constructors -------------------------------------------------
 
@@ -118,28 +162,22 @@ class MultiPoly:
     def var(name: str, power: int = 1) -> MultiPoly:
         if name not in VAR_INDEX:
             raise KeyError(f"unknown variable {name!r}; pick from {VARIABLES}")
-        if power < 0:
-            raise ValueError("monomials need nonnegative exponents")
-        if power == 0:
+        if _exponent(name, power) == 0:
             return ONE
-        exp = [0] * NVARS
-        exp[VAR_INDEX[name]] = power
-        return _raw({tuple(exp): 1}, _UNIT)
+        return _raw({power << _SHIFTS[VAR_INDEX[name]]: 1}, _UNIT)
 
     @staticmethod
     def monomial(powers: Mapping[str, int], coeff=1) -> MultiPoly:
-        exp = [0] * NVARS
+        key = 0
         for name, p in powers.items():
-            exp[VAR_INDEX[name]] = p
-        return MultiPoly({tuple(exp): _as_fraction(coeff)})
+            key |= _exponent(name, p) << _SHIFTS[VAR_INDEX[name]]
+        return from_packed({key: coeff})
 
     @staticmethod
     def from_dense(coeffs: Sequence[Scalar], name: str) -> MultiPoly:
         """Inverse of dense_coeffs: coeffs[d] becomes the coefficient of name**d."""
-        i = VAR_INDEX[name]
-        return MultiPoly(
-            {ZERO_EXP[:i] + (d,) + ZERO_EXP[i + 1 :]: c for d, c in enumerate(coeffs)}
-        )
+        s = _SHIFTS[VAR_INDEX[name]]
+        return from_packed({d << s: c for d, c in enumerate(coeffs)})
 
     # ----- views ----------------------------------------------------------
 
@@ -147,7 +185,7 @@ class MultiPoly:
     def terms(self) -> dict[tuple, Fraction]:
         """The coefficients as {exponent: Fraction}; a fresh dict on each read."""
         cont = self.cont
-        return {exp: cont * c for exp, c in self.prim.items()}
+        return {_unpack(key): cont * c for key, c in self.prim.items()}
 
     def is_zero(self) -> bool:
         return not self.prim
@@ -156,10 +194,10 @@ class MultiPoly:
         return self.cont == 1 and self.prim == _ONE_PRIM
 
     def is_constant(self) -> bool:
-        return not self.prim or (len(self.prim) == 1 and ZERO_EXP in self.prim)
+        return not self.prim or (len(self.prim) == 1 and 0 in self.prim)
 
     def constant_term(self) -> Fraction:
-        return self.cont * self.prim.get(ZERO_EXP, 0)
+        return self.cont * self.prim.get(0, 0)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -167,19 +205,17 @@ class MultiPoly:
         return self.constant_term()
 
     def used_vars(self) -> tuple[int, ...]:
-        used = set()
-        for exp in self.prim:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return tuple(sorted(used))
+        used = 0
+        for key in self.prim:
+            used |= key
+        return tuple(i for i, s in enumerate(_SHIFTS) if used >> s & _SLOT_MASK)
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.prim:
             return -1
-        i = VAR_INDEX[name]
-        return max(exp[i] for exp in self.prim)
+        s = _SHIFTS[VAR_INDEX[name]]
+        return max(key >> s & _SLOT_MASK for key in self.prim)
 
     # ----- ring operations ----------------------------------------------
 
@@ -249,24 +285,27 @@ class MultiPoly:
             return ZERO
         ca, cb = self.cont, other.cont
         cont = cb if ca == 1 else ca if cb == 1 else ca * cb
-        if len(b) == 1 and ZERO_EXP in b:
-            return _raw(a if b[ZERO_EXP] > 0 else _negated(a), cont)
-        if len(a) == 1 and ZERO_EXP in a:
-            return _raw(b if a[ZERO_EXP] > 0 else _negated(b), cont)
+        if len(b) == 1 and 0 in b:
+            return _raw(a if b[0] > 0 else _negated(a), cont)
+        if len(a) == 1 and 0 in a:
+            return _raw(b if a[0] > 0 else _negated(b), cont)
         # Gauss's lemma: a product of primitive polynomials is primitive,
         # so the integer products need no gcd.  The outer loop runs over the
-        # shorter factor, whose constant term needs no exponent sums.
+        # shorter factor, whose constant term needs no key sums.
         if len(a) > len(b):
             a, b = b, a
-        c0 = a.get(ZERO_EXP)
-        out: dict[tuple, int] = {e2: c0 * c2 for e2, c2 in b.items()} if c0 else {}
+        c0 = a.get(0)
+        out: dict[int, int] = {e2: c0 * c2 for e2, c2 in b.items()} if c0 else {}
         get = out.get
         for e1, c1 in a.items():
-            if e1 == ZERO_EXP:
+            if not e1:
                 continue
             for e2, c2 in b.items():
-                exp = tuple(map(add, e1, e2))
+                exp = e1 + e2
                 out[exp] = get(exp, 0) + c1 * c2
+        if any(map(_GUARDS.__and__, out)):
+            e, name = max(zip(_unpack(max(out, key=_GUARDS.__and__)), VARIABLES))
+            raise _overflow(name, e)
         if 0 in out.values():
             out = {exp: c for exp, c in out.items() if c}
         return _raw(out, cont)
@@ -278,8 +317,11 @@ class MultiPoly:
             raise ValueError("polynomial powers must be nonnegative integers")
         if len(self.prim) == 1:
             # A monomial's primitive coefficient is 1 or -1.
-            [(exp, c)] = self.prim.items()
-            return _raw({tuple(e * n for e in exp): c**n}, self.cont**n)
+            [(key, c)] = self.prim.items()
+            e, name = max(zip(_unpack(key), VARIABLES))
+            if e * n >= EXP_LIMIT:
+                raise _overflow(name, e * n)
+            return _raw({key * n: c**n}, self.cont**n)
         result = ONE
         base = self
         while n:
@@ -320,19 +362,20 @@ class MultiPoly:
 
     def coeff_of(self, name: str, power: int) -> MultiPoly:
         """Coefficient of name**power, as a polynomial in the other variables."""
-        i = VAR_INDEX[name]
+        s = _SHIFTS[VAR_INDEX[name]]
         out = {}
-        for exp, c in self.prim.items():
-            if exp[i] == power:
-                out[exp[:i] + (0,) + exp[i + 1 :]] = c
+        for key, c in self.prim.items():
+            if key >> s & _SLOT_MASK == power:
+                out[key - (power << s)] = c
         return _reduce(out, self.cont)
 
     def as_univariate(self, name: str) -> dict[int, MultiPoly]:
         """View as a univariate polynomial in `name` with MultiPoly coefficients."""
-        i = VAR_INDEX[name]
+        s = _SHIFTS[VAR_INDEX[name]]
         buckets: dict[int, dict] = {}
-        for exp, c in self.prim.items():
-            buckets.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1 :]] = c
+        for key, c in self.prim.items():
+            d = key >> s & _SLOT_MASK
+            buckets.setdefault(d, {})[key - (d << s)] = c
         return {d: _reduce(t, self.cont) for d, t in buckets.items()}
 
     def dense_coeffs(self, name: str) -> list[Fraction]:
@@ -340,20 +383,15 @@ class MultiPoly:
 
         Raises NotUnivariate if any other variable appears.
         """
-        from .errors import NotUnivariate
-
-        i = VAR_INDEX[name]
-        deg = 0
-        for exp in self.prim:
-            for j, e in enumerate(exp):
-                if e and j != i:
-                    raise NotUnivariate(
-                        f"expected a polynomial in {name} only, found {VARIABLES[j]}"
-                    )
-            deg = max(deg, exp[i])
-        out = [Fraction(0)] * (deg + 1)
-        for exp, c in self.prim.items():
-            out[exp[i]] = self.cont * c
+        s = _SHIFTS[VAR_INDEX[name]]
+        others = ~(_SLOT_MASK << s)
+        for key in self.prim:
+            if key & others:
+                j = next(j for j, t in enumerate(_SHIFTS) if t != s and key >> t & _SLOT_MASK)
+                raise NotUnivariate(f"expected a polynomial in {name} only, found {VARIABLES[j]}")
+        out = [Fraction(0)] * ((max(self.prim, default=0) >> s) + 1)
+        for key, c in self.prim.items():
+            out[key >> s] = self.cont * c
         return out
 
     def subs(self, name: str, value) -> MultiPoly:
@@ -368,19 +406,20 @@ class MultiPoly:
         return result
 
     def derivative(self, name: str) -> MultiPoly:
-        i = VAR_INDEX[name]
+        s = _SHIFTS[VAR_INDEX[name]]
         out = {}
-        for exp, c in self.prim.items():
-            if exp[i]:
-                out[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c * exp[i]
+        for key, c in self.prim.items():
+            d = key >> s & _SLOT_MASK
+            if d:
+                out[key - (1 << s)] = c * d
         return _reduce(out, self.cont)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Full numeric evaluation; every used variable must be assigned."""
         total = 0
-        for exp, c in self.prim.items():
+        for key, c in self.prim.items():
             term = c
-            for i, e in enumerate(exp):
+            for i, e in enumerate(_unpack(key)):
                 if e:
                     term *= _as_fraction(assignment[VARIABLES[i]]) ** e
             total += term
@@ -392,8 +431,8 @@ class MultiPoly:
         """(exponent, coefficient) of the lexicographically largest monomial."""
         if not self.prim:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.prim)
-        return exp, self.cont * self.prim[exp]
+        key = max(self.prim)
+        return _unpack(key), self.cont * self.prim[key]
 
     def content(self) -> Fraction:
         return self.cont
@@ -434,6 +473,18 @@ class MultiPoly:
         return " ".join(parts)
 
 
+def from_packed(terms: Mapping[int, Scalar]) -> MultiPoly:
+    """The polynomial sum terms[key] x^key, over packed keys that the caller
+    built from checked exponents; zero coefficients are dropped."""
+    clean = {}
+    for key, coeff in terms.items():
+        c = _as_fraction(coeff)
+        if c:
+            clean[key] = c
+    cont = _fraction_content(clean.values())
+    return _raw({key: (c / cont).numerator for key, c in clean.items()}, cont)
+
+
 def _raw(prim: dict, cont: Fraction) -> MultiPoly:
     """Wrap a pair that is already canonical; the dict is not copied."""
     r = MultiPoly.__new__(MultiPoly)
@@ -457,8 +508,8 @@ def _negated(prim: dict) -> dict:
 
 
 _UNIT = Fraction(1)
-_ONE_PRIM = {ZERO_EXP: 1}
-_MINUS_ONE_PRIM = {ZERO_EXP: -1}
+_ONE_PRIM = {0: 1}
+_MINUS_ONE_PRIM = {0: -1}
 ZERO = _raw({}, _UNIT)
 ONE = _raw(_ONE_PRIM, _UNIT)
 
@@ -485,15 +536,22 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     rem = dict(p.prim)
     while rem:
         r_exp = max(rem)
-        diff = tuple(map(sub, r_exp, d_exp))
-        if min(diff) < 0:
+        # With every guard bit set, no borrow leaves a slot, and a slot keeps
+        # its guard bit exactly when d's exponent there is at most r's.
+        diff = (r_exp | _GUARDS) - d_exp
+        if diff & _GUARDS != _GUARDS:
             return None
+        diff ^= _GUARDS
         c, r = divmod(rem[r_exp], d_lead)
         if r:
             return None
         quotient[diff] = c
         for exp, v in divisor.items():
-            exp = tuple(map(add, diff, exp))
+            exp += diff
+            if exp & _GUARDS:
+                # An exact quotient q has deg(q) + deg(d) = deg(p) in each
+                # variable, so no term of q*d reaches the limit p is under.
+                return None
             s = rem.get(exp, 0) - c * v
             if s:
                 rem[exp] = s
@@ -648,8 +706,6 @@ class RatFunc:
         return self.den.is_one()
 
     def as_poly(self) -> MultiPoly:
-        from .errors import NonPolynomialResult
-
         if not self.den.is_one():
             raise NonPolynomialResult(
                 f"denominator {self.den.render()} did not clear"

@@ -12,6 +12,7 @@ import pytest
 
 from hooklab.checks import _constant, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
+from hooklab.harness import run_check
 from hooklab.identities import (
     arm_zero_sum,
     cycle_index_sum,
@@ -150,6 +151,13 @@ def test_integer_sums_match_factor_products():
         ):
             assert fast == oracle
             assert fast.render() == oracle.render()
+
+
+def test_hook_square_polynomials_are_computed_once_per_n():
+    hook_square_polynomial.cache_clear()
+    assert run_check("C2.1", {"max_n": 6, "eta_order": 8}).status == "verified"
+    assert run_check("C2.2b", {"max_n": 10}).status == "verified"
+    assert hook_square_polynomial.cache_info().misses == 11  # n = 0..10
 
 
 def test_hook_square_and_multiplicity_invariants_past_default_bounds():

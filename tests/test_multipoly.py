@@ -1,14 +1,18 @@
 """Ring laws and canonical forms for the sparse polynomial layer."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hooklab.errors import ExponentOverflow
 from hooklab.multipoly import (
+    EXP_LIMIT,
     NVARS,
+    SLOT_BITS,
     VAR_INDEX,
     VARIABLES,
     ZERO_EXP,
@@ -356,10 +360,19 @@ def oracle_exact_div(p, d):
     return quotient
 
 
+def slots(key):
+    """The NVARS slots of a packed key, t first, each SLOT_BITS wide."""
+    mask = (1 << SLOT_BITS) - 1
+    return tuple(key >> (SLOT_BITS * (NVARS - 1 - i)) & mask for i in range(NVARS))
+
+
 def assert_canonical(p):
     assert type(p.cont) is Fraction and p.cont > 0
     assert all(type(c) is int and c for c in p.prim.values())
-    assert all(type(e) is tuple and len(e) == NVARS for e in p.prim)
+    for key in p.prim:
+        assert type(key) is int and 0 <= key < 1 << (SLOT_BITS * NVARS)
+        assert all(e < EXP_LIMIT for e in slots(key))
+    assert [slots(key) for key in p.prim] == [tuple(e) for e in p.terms]
     if p.prim:
         assert math.gcd(*p.prim.values()) == 1
     else:
@@ -371,8 +384,14 @@ def agree(p, oracle):
     assert p.terms == oracle.terms
 
 
+# Monomials in up to three of all twelve variables, so every slot of a
+# packed key is used, the y-block and the least significant (y6) included.
 term_lists = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-9, 9), st.integers(1, 6)),
+    st.tuples(
+        st.dictionaries(st.sampled_from(VARIABLES), st.integers(0, 3), max_size=3),
+        st.integers(-9, 9),
+        st.integers(1, 6),
+    ),
     max_size=4,
 )
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -381,9 +400,9 @@ scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 def both(terms):
     """The same polynomial as a sum of monomials and as an oracle term map."""
     poly, exact = MultiPoly.const(0), {}
-    for te, qe, num, den in terms:
-        poly = poly + _mono(te, qe, num, den)
-        exp = _mono(te, qe, 1, 1).lex_leading()[0]
+    for powers, num, den in terms:
+        poly = poly + MultiPoly.monomial(powers, Fraction(num, den))
+        exp = tuple(powers.get(name, 0) for name in VARIABLES)
         exact[exp] = exact.get(exp, 0) + Fraction(num, den)
     oracle = FractionMapPoly(exact)
     agree(poly, oracle)
@@ -392,8 +411,8 @@ def both(terms):
 
 
 @settings(deadline=None, max_examples=150)
-@given(term_lists, term_lists, scalars, st.integers(0, 3))
-def test_operations_match_fraction_map_oracle(ta, tb, c, n):
+@given(term_lists, term_lists, scalars, st.integers(0, 3), st.sampled_from(VARIABLES))
+def test_operations_match_fraction_map_oracle(ta, tb, c, n, name):
     a, oa = both(ta)
     b, ob = both(tb)
     agree(a + b, oa + ob)
@@ -409,15 +428,22 @@ def test_operations_match_fraction_map_oracle(ta, tb, c, n):
     if c:
         agree(a / c, oa / c)
     agree(a**n, oa**n)
-    agree(a.subs("t", c), oa.subs("t", c))
-    agree(a.subs("q", b), oa.subs("q", ob))
-    agree(a.derivative("t"), oa.derivative("t"))
+    agree(a.subs(name, c), oa.subs(name, c))
+    agree(a.subs(name, b), oa.subs(name, ob))
+    agree(a.derivative(name), oa.derivative(name))
     agree(a.primitive(), oa.primitive())
     assert a.content() == oa.content()
-    point = {"t": Fraction(3, 2), "q": c}
+    point = {v: Fraction(i + 1, 2) for i, v in enumerate(VARIABLES)} | {name: c}
     assert a.evaluate(point) == oa.evaluate(point)
-    univariate, ounivariate = a.subs("q", c), oa.subs("q", c)
-    assert univariate.dense_coeffs("t") == ounivariate.dense_coeffs("t")
+    univariate, ounivariate = a, oa
+    for other in VARIABLES:
+        if other != name:
+            univariate, ounivariate = univariate.subs(other, c), ounivariate.subs(other, c)
+    assert univariate.dense_coeffs(name) == ounivariate.dense_coeffs(name)
+    parts = a.as_univariate(name)
+    assert sum((p * MultiPoly.var(name, d) for d, p in parts.items()), MultiPoly.const(0)) == a
+    assert all(a.coeff_of(name, d) == p and p.degree(name) == 0 for d, p in parts.items())
+    assert a.used_vars() == tuple(sorted({i for e in oa.terms for i, x in enumerate(e) if x}))
     assert a.render() == oa.render()
     if a:
         assert a.lex_leading() == oa.lex_leading()
@@ -507,3 +533,90 @@ def test_ratfunc_times_scalar_matches_coerced_product(scalar):
             assert_canonical(got.num)
             assert_canonical(got.den)
             assert got.den.is_one() or got.den.lex_leading()[1] == 1
+
+
+# ----- packed exponent keys: the boundary and the slot limit ----------------------
+
+
+def test_constructor_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        MultiPoly.monomial({"t": -1})
+    with pytest.raises(ValueError):
+        MultiPoly({(0, -2) + (0,) * (NVARS - 2): 1})
+
+
+def test_constructor_rejects_a_wrong_length_vector():
+    with pytest.raises(ValueError):
+        MultiPoly({(1, 2): 3})
+    with pytest.raises(ValueError):
+        MultiPoly({(0,) * (NVARS + 1): 3})
+
+
+def test_constructor_rejects_a_non_int_exponent():
+    with pytest.raises(TypeError, match="exponent of t must be an int"):
+        MultiPoly({(1.5,) + (0,) * (NVARS - 1): 1})
+    with pytest.raises(TypeError, match="exponent of q must be an int"):
+        MultiPoly.var("q", 2.0)
+
+
+def test_largest_exponent_round_trips():
+    top = EXP_LIMIT - 1
+    exp = (top, 1) + (0,) * (NVARS - 3) + (top,)
+    p = MultiPoly({exp: Fraction(-3, 2)})
+    assert_canonical(p)
+    assert p == MultiPoly.monomial({"t": top, "q": 1, "y6": top}, Fraction(-3, 2))
+    assert p.terms == {exp: Fraction(-3, 2)}
+    assert p.lex_leading() == (exp, Fraction(-3, 2))
+    assert p.render() == f"-3/2*t^{top}*q*y6^{top}"
+    assert (p + 1).render() == f"1 - 3/2*t^{top}*q*y6^{top}"
+    assert MultiPoly.var("y6", top).degree("y6") == top
+    assert (p * MultiPoly.var("v")).degree("y6") == top
+
+
+@pytest.mark.parametrize("name", ["t", "q", "y5", "y6"])
+def test_reaching_the_limit_raises(name):
+    near = MultiPoly.var(name, EXP_LIMIT - 1)
+    x = MultiPoly.var(name)
+    with pytest.raises(ExponentOverflow):
+        near * x
+    with pytest.raises(ExponentOverflow):
+        (near + 1) * (x + T + 1)
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.var(name, EXP_LIMIT // 2) ** 2
+    with pytest.raises(ExponentOverflow):
+        (near + 1) ** 2
+    with pytest.raises(ExponentOverflow):
+        (-2 * MultiPoly.var(name, 3) * V) ** (EXP_LIMIT // 3 + 1)
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.var(name, EXP_LIMIT)
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.monomial({name: EXP_LIMIT})
+    with pytest.raises(ExponentOverflow):
+        MultiPoly({tuple(EXP_LIMIT if v == name else 0 for v in VARIABLES): 1})
+    assert (MultiPoly.var(name, EXP_LIMIT // 2 - 1) ** 2).degree(name) == EXP_LIMIT - 2
+
+
+def test_exact_div_borrow_case():
+    # The leading slot of p is larger, so a plain key difference would borrow
+    # from it and hide that d's exponent of the other variable is larger.
+    assert exact_div(T**2 * Q, T * Q**2) is None
+    y5, y6 = MultiPoly.var("y5"), MultiPoly.var("y6")
+    assert exact_div(y5**2, y5 * y6) is None
+    assert exact_div(y5**2 * y6 + y5, y5 * y6**2 + 1) is None
+    assert exact_div(T**2 * Q * y6, T * Q * y6) == T
+
+
+def test_exact_div_past_the_limit_is_inexact():
+    # q^3*y6^(L-1) / (q^2*y6 + q*y6^3) meets a term q^2*y6^(L+1): no polynomial
+    # quotient exists.  Were that term kept, the guard-bit test would read it
+    # as q^2*y6, the step meant to cancel it would miss it, and the division
+    # would loop forever; hence the daemon thread and the time limit.
+    q, y6 = Q, MultiPoly.var("y6")
+    p, d = q**3 * y6 ** (EXP_LIMIT - 1), q**2 * y6 + q * y6**3
+    results = []
+    worker = threading.Thread(target=lambda: results.append(exact_div(p, d)), daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive() and results == [None]
+    top = y6 ** (EXP_LIMIT - 3)
+    assert exact_div(top * (q * y6 + y6**2), q + y6) == top * y6
