@@ -108,19 +108,19 @@ def _fraction_content(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
-def dense_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b, both dense coefficient lists as dense_coeffs
-    returns them (degree 0 upward, b without trailing zeros).
-
-    The result has no trailing zeros; the remainder of zero is [].
+def dense_prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^k * a mod b, k the number of elimination steps,
+    of dense lists (degree 0 upward, b without trailing zeros) of ints or
+    MultiPoly values.  The result has no trailing zeros; that of zero is [].
     """
     a = list(a)
     n = len(b) - 1
-    inv = None if b[-1] == 1 else 1 / b[-1]
+    lc = b[-1]
+    scale = lc != 1
     while len(a) > n:
         lead = a.pop()
-        if inv is not None:
-            lead *= inv
+        if scale:
+            a = [lc * c for c in a]
         off = len(a) - n
         for i in range(n):
             a[off + i] -= lead * b[i]
@@ -383,15 +383,20 @@ class MultiPoly:
 
         Raises NotUnivariate if any other variable appears.
         """
+        cont = self.cont
+        return [cont * c for c in self.dense_prim(name)]
+
+    def dense_prim(self, name: str) -> list[int]:
+        """dense_coeffs(name) over the content: coprime ints."""
         s = _SHIFTS[VAR_INDEX[name]]
         others = ~(_SLOT_MASK << s)
         for key in self.prim:
             if key & others:
                 j = next(j for j, t in enumerate(_SHIFTS) if t != s and key >> t & _SLOT_MASK)
                 raise NotUnivariate(f"expected a polynomial in {name} only, found {VARIABLES[j]}")
-        out = [Fraction(0)] * ((max(self.prim, default=0) >> s) + 1)
+        out = [0] * ((max(self.prim, default=0) >> s) + 1)
         for key, c in self.prim.items():
-            out[key >> s] = self.cont * c
+            out[key >> s] = c
         return out
 
     def subs(self, name: str, value) -> MultiPoly:
@@ -562,45 +567,37 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
 
 # ----- gcd ----------------------------------------------------------------
 #
-# Primitive polynomial remainder sequences, recursing on the first used
-# variable.  Inputs here stay small (mostly univariate in q or a, sometimes
-# bivariate in q and t), so transparent PRS beats anything clever.
+# One primitive remainder sequence (Collins, JACM 1967) in the first used
+# variable, on dense lists of ints when no other variable is used and of
+# MultiPoly coefficients, whose contents recurse, otherwise.
 
 
-def _gcd_univariate(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    a = p.dense_coeffs(name)
-    b = q.dense_coeffs(name)
-    while b:
-        # A monic divisor keeps the remainder's coefficients from growing
-        # and lets dense_rem skip its per-step scaling.
-        inv = 1 / b[-1]
-        b = [c * inv for c in b]
-        a, b = b, dense_rem(a, b)
-    return MultiPoly.from_dense(a, name).primitive()
-
-
-def _univar_content(p: MultiPoly, name: str) -> MultiPoly:
-    """gcd of the coefficients of p viewed as univariate in `name`."""
-    g = ZERO
-    for coeff in p.as_univariate(name).values():
-        g = poly_gcd(g, coeff)
-        if g.is_one():
-            return g
-    return g
-
-
-def _pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    dg = g.degree(name)
-    lc_g = g.coeff_of(name, dg)
-    r = f
-    v = MultiPoly.var(name)
-    while not r.is_zero():
-        dr = r.degree(name)
-        if dr < dg:
+def _last_remainder(a: list, b: list, split) -> list:
+    """Last nonzero entry of the primitive remainder sequence of a and b,
+    dense lists with content 1 (split(r) is r's content and r over it):
+    their gcd up to a unit, or a constant when they are coprime."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = dense_prem(a, b)
+        if not r:
             break
-        lc_r = r.coeff_of(name, dr)
-        r = r * lc_g - g * lc_r * v ** (dr - dg)
-    return r
+        a, b = b, split(r)[1]
+    return b
+
+
+def _int_split(r: list[int]) -> tuple[int, list[int]]:
+    g = math.gcd(*r)
+    return g, r if g == 1 else [c // g for c in r]
+
+
+def _poly_split(r: list[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
+    g = ZERO
+    for c in r:
+        g = poly_gcd(g, c)
+        if g.is_one():
+            return g, r
+    return g, [exact_div(c, g) for c in r]
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -612,33 +609,22 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     used = sorted(set(p.used_vars()) | set(q.used_vars()))
     if not used:
         return ONE
-    name = VARIABLES[used[0]]
-    only = len(used) == 1
-    if only:
-        return _gcd_univariate(p, q, name)
-    # content/primitive split with respect to the main variable
-    cont_p = _univar_content(p, name)
-    cont_q = _univar_content(q, name)
-    cont = poly_gcd(cont_p, cont_q)
-    f = exact_div(p, cont_p)
-    g = exact_div(q, cont_q)
-    if f.degree(name) < g.degree(name):
-        f, g = g, f
-    while True:
-        if g.is_zero():
-            result = f
-            break
-        if g.degree(name) == 0:
-            result = ONE
-            break
-        r = _pseudo_rem(f, g, name)
-        if r.is_zero():
-            result = g
-            break
-        r_cont = _univar_content(r, name)
-        f, g = g, exact_div(r, r_cont)
-    result = exact_div(result, _univar_content(result, name)) if result.degree(name) > 0 else ONE
-    return (cont * result).primitive()
+    name, s = VARIABLES[used[0]], _SHIFTS[used[0]]
+    if len(used) == 1:
+        g = _last_remainder(p.dense_prim(name), q.dense_prim(name), _int_split)
+        if len(g) == 1:
+            return ONE
+        return _raw({d << s: c for d, c in enumerate(g) if c}, _UNIT).primitive()
+    (ca, a), (cb, b) = (
+        _poly_split([u.get(d, ZERO) for d in range(max(u) + 1)])
+        for u in (p.as_univariate(name), q.as_univariate(name))
+    )
+    cont = poly_gcd(ca, cb)
+    g = _last_remainder(a, b, _poly_split)
+    if len(g) == 1:
+        return cont
+    terms = {key + (d << s): c.cont * x for d, c in enumerate(g) for key, x in c.prim.items()}
+    return (cont * from_packed(terms)).primitive()
 
 
 # ----- rational functions ---------------------------------------------------
@@ -743,7 +729,7 @@ class RatFunc:
         return self + (-o)
 
     def __rsub__(self, other):
-        return RatFunc.coerce(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -775,7 +761,10 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = RatFunc.coerce(other)
+        try:
+            o = RatFunc.coerce(other)
+        except TypeError:
+            return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         inv = RatFunc.__new__(RatFunc)
@@ -783,7 +772,11 @@ class RatFunc:
         return self * inv
 
     def __rtruediv__(self, other):
-        return RatFunc.coerce(other) / self
+        try:
+            o = RatFunc.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, n: int):
         if n < 0:

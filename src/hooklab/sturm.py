@@ -1,21 +1,21 @@
 """Exact real-root counting for univariate rational polynomials.
 
-Sturm chains over Fraction coefficients: the chain of p and p' counts the
-distinct real roots of p even when p is not squarefree, and its last entry
-is gcd(p, p') up to a scalar, so simplicity is read off that entry's degree.
-Integer content is stripped at every remainder step to keep coefficients
-small.  No numerics are involved anywhere.
+Sturm chains over primitive integer coefficients: the chain of p and p'
+counts the distinct real roots of p even when p is not squarefree, and its
+last entry is gcd(p, p') up to a scalar, so simplicity is read off that
+entry's degree.  Each pseudo-remainder is taken by a divisor with positive
+leading coefficient, so its multiplier is positive.  No numerics anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .multipoly import MultiPoly, _fraction_content, dense_rem
+from .multipoly import MultiPoly, dense_prem
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -51,19 +51,20 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
     all_roots_negative refers to the real roots only, so it is vacuously true
     when there are none (e.g. t^2 + 1).
     """
-    dense = p.dense_coeffs(name)
+    dense = p.dense_prim(name)
     if not p:
         raise ValueError("sturm analysis of the zero polynomial")
     if len(dense) == 1:
         return SturmReport(0, True, True)
-    chain = [dense, p.derivative(name).dense_coeffs(name)]
+    chain = [dense, [d * c for d, c in enumerate(dense)][1:]]
     while True:
-        r = dense_rem(chain[-2], chain[-1])
+        b = chain[-1]
+        r = dense_prem(chain[-2], b if b[-1] > 0 else [-c for c in b])
         if not r:
             break
-        # a positive scale keeps every sign, so the chain stays a Sturm chain
-        c = _fraction_content(r)
-        chain.append([-v / c for v in r])
+        # r is a positive multiple of the remainder, so -r/g keeps every sign
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
     v_minus = _var_at_minus_inf(chain)
     total = v_minus - _var_at_plus_inf(chain)
     # A root at 0 is not negative; any other p(0) leaves V(0) well defined,
@@ -74,7 +75,7 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
 
 def unimodal(p: MultiPoly, name: str = "t") -> bool:
     """True when the dense coefficient list weakly rises then weakly falls."""
-    coeffs = p.dense_coeffs(name)
+    coeffs = p.dense_prim(name)
     i = 0
     while i + 1 < len(coeffs) and coeffs[i] <= coeffs[i + 1]:
         i += 1

@@ -193,6 +193,43 @@ def test_univariate_gcd_against_sympy(a, b, c):
     assert to_sympy(g).monic() == theirs.monic()
 
 
+q_only_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=4
+).map(lambda cs: sum((c * Q**i for i, c in enumerate(cs)), MultiPoly.const(0)))
+
+# Inputs in (t, q), some free of t; planted factors include ones free of t.
+gcd_inputs = st.one_of(nonzero_polys, q_only_polys.filter(bool))
+planted_factors = st.one_of(
+    nonzero_polys,
+    q_only_polys.filter(bool),
+    st.sampled_from([2 * Q + 3, Q**2 - 2, T - Q, 2 * T * Q + 3, T**2 + Q**2 + 1]),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gcd_inputs, gcd_inputs, planted_factors)
+def test_bivariate_gcd_against_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    t, q = sympy.symbols("t q")
+
+    def to_sympy(p):
+        expr = sum(
+            sympy.Rational(v.numerator, v.denominator) * t ** e[0] * q ** e[1]
+            for e, v in p.terms.items()
+        )
+        return sympy.Poly(expr, t, q, domain="QQ")
+
+    # with a planted common factor, and as drawn (mostly coprime)
+    for x, y in ((a * c, b * c), (a, b)):
+        g = poly_gcd(x, y)
+        # canonical: a primitive integer map with a positive lex-leading coefficient
+        assert g.cont == 1 and math.gcd(*g.prim.values()) == 1 and g == g.primitive()
+        ours = to_sympy(g)
+        theirs = sympy.gcd(to_sympy(x), to_sympy(y))
+        assert (ours.degree(t), ours.degree(q)) == (theirs.degree(t), theirs.degree(q))
+        assert ours.monic() == theirs.monic()
+
+
 def test_render_readable():
     p = T**2 - 2 * T * Q + 1
     s = p.render()

@@ -50,6 +50,23 @@ def test_uncoercible_operands_are_not_implemented():
     assert (1 - s).poly_coefficient(1).as_fraction() == -2
 
 
+def test_ratfunc_defers_to_series_and_rejects_floats():
+    s = from_ints([1, 2, 3])
+    r = RatFunc(MultiPoly.var("q") + 1, MultiPoly.var("q") + 2)
+    assert r.__truediv__(s) is NotImplemented
+    assert r.__rtruediv__(0.5) is NotImplemented
+    assert r.__rsub__(0.5) is NotImplemented
+    assert (r / s).first_difference(s.__rtruediv__(r)) is None
+    assert ((r / s) * s).first_difference(TruncatedSeries.const(r, "x", ORD)) is None
+    assert (r - s).first_difference(-(s - r)) is None
+    with pytest.raises(TypeError, match="'float' and 'RatFunc'"):
+        0.5 - r
+    with pytest.raises(TypeError, match="'float' and 'RatFunc'"):
+        0.5 / r
+    with pytest.raises(TypeError, match="'RatFunc' and 'float'"):
+        r / 0.5
+
+
 def test_geometric_inverts_one_minus_x():
     one_minus = from_ints([1, -1])
     assert (geometric("x", ORD) * one_minus).first_difference(from_ints([1])) is None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hooklab.identities import hook_square_polynomial
 from hooklab.multipoly import MultiPoly, ONE
 from hooklab.permstats import eulerian_A, eulerian_B
-from hooklab.sturm import sturm_analysis, unimodal
+from hooklab.sturm import SturmReport, sturm_analysis, unimodal
 
 T = MultiPoly.var("t")
 
@@ -72,14 +72,20 @@ def test_zero_root_is_not_negative():
 
 
 def test_scaling_is_irrelevant():
-    p = (T + 2) * (T + 5)
-    r1 = sturm_analysis(p, "t")
-    r2 = sturm_analysis(p * Fraction(3, 7), "t")
-    assert (r1.real_root_count, r1.all_roots_simple, r1.all_roots_negative) == (
-        r2.real_root_count,
-        r2.all_roots_simple,
-        r2.all_roots_negative,
-    )
+    # In the chains of the sparse cubic and quintic a pseudo-remainder drops
+    # two degrees in one elimination step, so there an odd power of a
+    # negative leading coefficient would flip the sign of a chain entry.
+    cases = [
+        ((T + 2) * (T + 5), SturmReport(2, True, True)),
+        # (t + 1)(t + 2)(t - 3)
+        (T**3 - 7 * T - 6, SturmReport(3, True, False)),
+        # changes sign on (-2, -1), (0, 1) and (1, 2), and has no fourth real root
+        (T**5 - 3 * T + 1, SturmReport(3, True, False)),
+        (T**4 + 1, SturmReport(0, True, True)),
+    ]
+    for p, report in cases:
+        for scale in (1, Fraction(3, 7), -1, Fraction(-5, 2)):
+            assert sturm_analysis(p * scale, "t") == report
 
 
 def test_eulerian_polynomials_are_real_rooted():
