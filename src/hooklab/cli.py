@@ -57,7 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"global time budget for --all (default: ${BUDGET_ENV} if set)",
     )
-    run.add_argument("--jobs", type=int, default=1, help="worker threads for --all")
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for --all, the calling process included (default: 1)",
+    )
     run.add_argument(
         "--format",
         dest="fmt",
@@ -144,6 +149,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.check_id is not None:
         if args.budget_seconds is not None:
             parser.error("--budget-seconds only applies to --all")
+        if args.jobs is not None:
+            parser.error("--jobs only applies to --all")
         result = run_check(args.check_id, _parse_bounds(args.bound, parser))
         report = make_report([result])
     else:
@@ -159,9 +166,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 parser.error(f"{source} wants a number, got {budget!r}")
             if not budget >= 0:  # also false for NaN
                 parser.error(f"{source} wants a number >= 0, got {budget}")
-        if args.jobs < 1:
-            parser.error(f"--jobs wants an integer >= 1, got {args.jobs}")
-        report = run_all(budget_seconds=budget, parallelism=args.jobs)
+        jobs = 1 if args.jobs is None else args.jobs
+        if jobs < 1:
+            parser.error(f"--jobs wants an integer >= 1, got {jobs}")
+        report = run_all(budget_seconds=budget, parallelism=jobs)
     _emit(report, args.fmt, args.out)
     return _exit_code(report)
 

@@ -3,16 +3,16 @@
 A Check pairs an identity (or family of identities) with default bounds,
 bound minimums (1 for every knob it does not list) and a runner.  Runners
 are pure: given bounds they either return a verdict or raise, and the engine
-turns both into CheckResult records.  Distinct checks are independent;
-every memo table they share is idempotent, so checks run on threads at worst
-compute a cached value twice.
+turns both into CheckResult records.  Distinct checks are independent and
+every memo table is idempotent, so a run split over forked worker processes,
+each with its own memo tables, reports exactly what a serial run reports.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Optional, Sequence
@@ -157,13 +157,17 @@ def run_all(
     """Run every registered check; never raises for individual failures.
 
     Checks that have not started when the budget expires are reported as
-    skipped.  Results come back in registry order regardless of scheduling.
+    skipped.  With ``parallelism`` N > 1 the checks run in N processes, at
+    most one per check: the caller and N - 1 children made by ``os.fork``
+    (serially where ``os.fork`` does not exist).  Results come back in
+    registry order regardless of scheduling.
     """
     started_at = datetime.now(timezone.utc).isoformat()
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     checks = registry()
 
-    def job(check: Check) -> CheckResult:
+    def job(i: int) -> CheckResult:
+        check = checks[i]
         if deadline is not None and time.monotonic() > deadline:
             return CheckResult(
                 check.id, "skipped", dict(check.default_bounds), None,
@@ -171,9 +175,89 @@ def run_all(
             )
         return _execute(check, dict(check.default_bounds))
 
-    if parallelism <= 1:
-        results = [job(c) for c in checks]
+    workers = min(parallelism, len(checks))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _run_forked(checks, job, workers)
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(job, checks))
+        results = [job(i) for i in range(len(checks))]
     return make_report(results, started_at)
+
+
+def _take(queue: int):
+    """Yield check indices from the work-queue pipe until it is empty."""
+    while record := os.read(queue, 2):
+        yield int.from_bytes(record, "big")
+
+
+def _run_forked(
+    checks: Sequence[Check], job: Callable[[int], CheckResult], workers: int
+) -> list[CheckResult]:
+    """``job(i)`` for every index, in the caller and ``workers - 1`` children.
+
+    The work queue is one pipe of 2-byte indices, written whole before any
+    fork and then closed, so every process reads records until EOF and
+    scheduling needs no lock.  Index 0 is not in the queue: the caller runs
+    it first, so in-process wrappers of the runners see the run start.  Each
+    child sends ``(index, result)`` on its own pipe as each check finishes
+    and leaves through ``os._exit``, never returning into the caller's stack.
+    A child that dies loses only the check it was running, reported as
+    ``error``; anything raised in the caller kills and reaps every child.
+    """
+    import pickle
+    import signal
+
+    results: list[Optional[CheckResult]] = [None] * len(checks)
+    queue, feed = os.pipe()
+    # 2 bytes per check: far under a pipe's capacity, so this write never blocks.
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(1, len(checks))))
+    os.close(feed)
+    children = {}  # unreaped pid -> its result stream
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write_end, "wb") as out:
+                        for i in _take(queue):
+                            pickle.dump((i, job(i)), out)
+                            out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children[pid] = open(read_end, "rb")
+        results[0] = job(0)
+        for i in _take(queue):
+            results[i] = job(i)
+        died = []
+        for pid, stream in list(children.items()):
+            with stream:
+                while True:
+                    try:
+                        i, result = pickle.load(stream)
+                    except (EOFError, pickle.UnpicklingError):  # truncated by a death
+                        break
+                    results[i] = result
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                died.append(str(code))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(queue)
+        for stream in children.values():
+            stream.close()
+    for i, result in enumerate(results):
+        if result is None:
+            check = checks[i]
+            results[i] = CheckResult(
+                check.id, "error", dict(check.default_bounds), None,
+                f"worker process died (exit status {', '.join(died)})", 0,
+            )
+    return results

@@ -104,6 +104,8 @@ def test_out_writes_file(tmp_path, capsys):
         ["run", "--all", "--budget-seconds", "nan"],
         ["run", "--all", "--jobs", "0"],
         ["run", "--all", "--budget-seconds", "-inf"],
+        ["run", "--id", "P9.1", "--jobs", "2"],
+        ["run", "--id", "P9.1", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_three(capsys, argv):
@@ -113,6 +115,8 @@ def test_usage_errors_exit_three(capsys, argv):
     if "--all" in argv and "--budget-seconds" in argv:
         # a bad budget value reaches the budget check, not argparse's parsing
         assert f"--budget-seconds wants a number >= 0, got {float(argv[-1])}" in err
+    if "--id" in argv and "--jobs" in argv:
+        assert "--jobs only applies to --all" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -1,9 +1,15 @@
 """Registry shape, runner plumbing, budgets, parallel determinism."""
 
 import dataclasses
+import os
+import select
+import signal
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from hooklab import harness
 from hooklab.errors import UnknownCheck
 from hooklab.harness import (
     Check,
@@ -194,3 +200,186 @@ def test_full_run_statuses():
 
 def rep_ids(rep):
     return [r.id for r in rep.checks]
+
+
+# -- the forked worker pool, on small synthetic registries
+
+
+def _hung(signum, frame):
+    raise TimeoutError("run_all hung")
+
+
+@pytest.fixture
+def pool(monkeypatch, tmp_path):
+    """Synthetic registries, the pids that os.fork returned, and run_all
+    guarded against a hang and against a worker that returns into the test
+    instead of exiting; every run must leave no child behind."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def register(runners):
+        checks = [
+            Check(f"S{i}", f"synthetic check {i}", "tests", {"n": i + 1}, runner)
+            for i, runner in enumerate(runners)
+        ]
+        monkeypatch.setattr(harness, "registry", lambda: checks)
+
+    def run(**kwargs):
+        caller = os.getpid()
+        escaped = tmp_path / "escaped"
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(30)
+        try:
+            return run_all(**kwargs)
+        finally:
+            if os.getpid() != caller:  # a worker must leave through os._exit
+                escaped.touch()
+                os._exit(0)
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            assert not escaped.exists(), "a worker process returned into the caller"
+            with pytest.raises(ChildProcessError):  # every child was reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    return SimpleNamespace(forks=forks, register=register, run=run)
+
+
+@pytest.fixture
+def baton():
+    """A pipe by which a check in one process tells a check in another that it started."""
+    read, write = os.pipe()
+    yield read, write
+    os.close(read)
+    os.close(write)
+
+
+def _await(fd):
+    select.select([fd], [], [], 10)  # the bound only matters if the pool is broken
+
+
+def _mixed(i):
+    def runner(bounds):
+        if i == 3:
+            raise ValueError("synthetic failure")
+        total = sum(range(bounds["n"] * 20_000))
+        if i == 5:
+            return "refuted", f"total={total}", "synthetic refutation"
+        return "verified", None, f"total={total}"
+
+    return runner
+
+
+def _square(i):
+    return lambda bounds: ("verified", None, f"{i}^2 = {i * i}")
+
+
+@pytest.mark.parametrize("parallelism", [2, 3, 20])
+def test_pool_report_equals_serial_in_registry_order(pool, parallelism):
+    pool.register([_mixed(i) for i in range(12)])
+    serial = pool.run(parallelism=1)
+    assert pool.forks == []
+    pooled = pool.run(parallelism=parallelism)
+    assert len(pool.forks) == min(parallelism, 12) - 1
+    assert rep_ids(pooled) == [f"S{i}" for i in range(12)]
+    assert _strip_timing(pooled) == _strip_timing(serial)
+    assert serial.summary == {"verified": 10, "refuted": 1, "error": 1, "skipped": 0}
+
+
+def test_pool_runs_serially_without_fork(pool, monkeypatch):
+    pool.register([_square(i) for i in range(4)])
+    monkeypatch.delattr(os, "fork")
+    assert pool.run(parallelism=4).summary["verified"] == 4
+
+
+def test_pool_runs_the_first_check_in_the_caller(pool, baton):
+    read, write = baton
+
+    def first(bounds):
+        _await(read)  # check 1 has started, so a worker took it
+        return "verified", None, f"pid {os.getpid()}"
+
+    def second(bounds):
+        os.write(write, b"x")
+        return "verified", None, f"pid {os.getpid()}"
+
+    pool.register([first, second] + [_square(i) for i in range(2, 6)])
+    report = pool.run(parallelism=3)
+    assert report.checks[0].notes == f"pid {os.getpid()}"
+    assert report.checks[1].notes in {f"pid {pid}" for pid in pool.forks}
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "die,status", [(lambda: os._exit(7), 7), (_interrupt, 1)], ids=["exit", "interrupt"]
+)
+def test_a_dead_worker_loses_only_its_check(pool, baton, die, status):
+    caller = os.getpid()
+    read, write = baton
+
+    def first(bounds):
+        _await(read)  # the worker has taken check 1
+        return "verified", None, "first"
+
+    def dies(bounds):
+        if os.getpid() != caller:
+            os.write(write, b"x")
+            die()
+        return "verified", None, "ran in the caller"
+
+    pool.register([first, dies] + [_square(i) for i in range(2, 6)])
+    report = pool.run(parallelism=2)
+    lost = report.checks[1]
+    assert lost.status == "error"
+    assert f"exit status {status})" in lost.notes
+    assert [r.notes for r in report.checks if r is not lost] == ["first"] + [
+        f"{i}^2 = {i * i}" for i in range(2, 6)
+    ]
+
+
+def test_interrupt_in_the_caller_kills_every_worker(pool, baton):
+    read, write = baton
+
+    def first(bounds):
+        _await(read)  # a worker is busy
+        raise KeyboardInterrupt
+
+    def busy(bounds):
+        os.write(write, b"x")
+        time.sleep(0.5)
+        return "verified", None, "slept"
+
+    pool.register([first] + [busy] * 5)
+    with pytest.raises(KeyboardInterrupt):
+        pool.run(parallelism=3)
+    assert len(pool.forks) == 2
+
+
+def test_zero_budget_skips_everything_in_the_pool(pool):
+    serial = run_all(budget_seconds=0.0)
+    pooled = pool.run(budget_seconds=0.0, parallelism=2)
+    assert pooled.summary["skipped"] == 47
+    assert _strip_timing(pooled) == _strip_timing(serial)
+
+
+def test_worker_results_past_a_pipe_buffer_do_not_deadlock(pool):
+    def first(bounds):
+        time.sleep(0.2)  # meanwhile the worker fills its result pipe
+        return "verified", None, "first"
+
+    def bulky(i):
+        return lambda bounds: ("verified", None, str(i) * 20_000)
+
+    pool.register([first] + [bulky(i) for i in range(1, 9)])
+    report = pool.run(parallelism=2)
+    assert [r.notes for r in report.checks[1:]] == [str(i) * 20_000 for i in range(1, 9)]
