@@ -8,7 +8,7 @@ class HooklabError(Exception):
 
 
 class DivisionByNonUnit(HooklabError):
-    """Series division where the divisor's constant term is not invertible."""
+    """Series division by a scalar or constant term with no inverse among the coefficients."""
 
 
 class BadConstantTerm(HooklabError):

@@ -160,7 +160,10 @@ def run_all(
     skipped.  With ``parallelism`` N > 1 the checks run in N processes, at
     most one per check: the caller and N - 1 children made by ``os.fork``
     (serially where ``os.fork`` does not exist).  Results come back in
-    registry order regardless of scheduling.
+    registry order regardless of scheduling.  A check that raises a
+    BaseException that is not an Exception (SystemExit, KeyboardInterrupt)
+    ends the run when the caller runs it, serially or as the first check; in
+    a forked worker it ends only that worker, and the check is ``error``.
     """
     started_at = datetime.now(timezone.utc).isoformat()
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds

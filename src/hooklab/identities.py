@@ -1,10 +1,11 @@
 """Partition-indexed generating functions and standalone finite identities.
 
 Everything here returns exact objects: series in x whose coefficients are
-rational functions (usually plain polynomials) in the coefficient variables,
-or single rational numbers for the finite identities.  Partition sums always
-iterate in the reverse-lexicographic enumeration order so that any
-coefficient can be traced back to the partitions that produced it.
+polynomials in the coefficient variables (rational functions only where a
+weight has a denominator), or single rational numbers for the finite
+identities.  Partition sums always iterate in the reverse-lexicographic
+enumeration order so that any coefficient can be traced back to the
+partitions that produced it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
 from .multipoly import (
-    MultiPoly, ONE, RatFunc, RF_ONE, RF_ZERO, ZERO, dense_linear_product, from_packed
+    MultiPoly, ONE, RatFunc, ZERO, dense_linear_product, from_packed
 )
 from .partitions import (
     CellStats,
@@ -142,21 +143,19 @@ def partition_additive_series(
     mode="cells" calls summand(cell_stats_entry, lam); mode="parts" calls
     summand(part_value, lam).  Summands may return integers, rationals,
     polynomials or rational functions.  Scalars and polynomials are added
-    term by term into one coefficient map per n; only summands with a
-    denominator go through RatFunc addition.  A float or other inexact
-    summand raises TypeError.
+    term by term into one coefficient map per n; only RatFunc summands go
+    through RatFunc addition.  A float or other inexact summand raises
+    TypeError.
     """
     if mode not in ("cells", "parts"):
         raise ValueError(f"unknown additive mode {mode!r}")
     coeffs = []
     for n in range(order + 1):
         terms = {}
-        rest = RF_ZERO
+        rest = ZERO
         for lam in partition_list(n):
             for item in cell_stats(lam) if mode == "cells" else lam.parts:
                 s = summand(item, lam)
-                if isinstance(s, RatFunc) and s.den.is_one():
-                    s = s.num
                 if isinstance(s, (int, Fraction)):
                     terms[0] = terms.get(0, 0) + s  # 0 packs the constant monomial
                 elif isinstance(s, MultiPoly):
@@ -164,8 +163,8 @@ def partition_additive_series(
                     for exp, c in s.prim.items():
                         terms[exp] = terms.get(exp, 0) + (c if cont == 1 else cont * c)
                 else:
-                    rest = rest + RatFunc.coerce(s)
-        coeffs.append(RatFunc(from_packed(terms)) + rest)
+                    rest = rest + s
+        coeffs.append(from_packed(terms) + rest)
     return TruncatedSeries("x", order, coeffs)
 
 
@@ -288,7 +287,7 @@ def top_hook_series(order: int, gap2_only: bool = False) -> TruncatedSeries:
     is excluded from the restricted one, matching the k=0 / k>=1 base terms of
     the q-series these sums are compared against.
     """
-    coeffs: list[RatFunc] = [RF_ZERO if gap2_only else RF_ONE]
+    coeffs = [ZERO if gap2_only else ONE]
     for n in range(1, order + 1):
         total = MultiPoly.const(0)
         for lam in partition_list(n):
@@ -296,7 +295,7 @@ def top_hook_series(order: int, gap2_only: bool = False) -> TruncatedSeries:
             if gap2_only and any(ps[i] - ps[i + 1] < 2 for i in range(len(ps) - 1)):
                 continue
             total = total + MultiPoly.monomial({"q": ps[0] + len(ps) - 1})
-        coeffs.append(RatFunc.coerce(total))
+        coeffs.append(total)
     return TruncatedSeries("x", order, coeffs)
 
 
@@ -338,7 +337,7 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
             k += 1
         return total
     if kind == "prop92_right":
-        coeffs: list[RatFunc] = [RF_ONE]
+        coeffs = [ONE]
         for n in range(1, order + 1):
             acc = MultiPoly.const(0)
             for j in range(1, n + 1):
@@ -348,7 +347,7 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
                 c = row.coeff_of("q", n - j)
                 if not c.is_zero():
                     acc = acc + MultiPoly.monomial({"q": j}, c.as_fraction())
-            coeffs.append(RatFunc.coerce(acc))
+            coeffs.append(acc)
         return TruncatedSeries("x", order, coeffs)
     if kind == "thm95":
         total = TruncatedSeries.zero("x", order)

@@ -634,9 +634,9 @@ class RatFunc:
     """Reduced quotient of MultiPoly values.
 
     Canonical form: gcd(num, den) divided out, then both scaled so the
-    denominator's lex-leading coefficient is 1.  Polynomials embed with
-    denominator ONE, and arithmetic takes fast paths in that common case so
-    polynomial-only pipelines never pay for gcds.
+    denominator's lex-leading coefficient is 1.  Polynomials stay MultiPoly
+    wherever no denominator arises; one that meets a RatFunc embeds with
+    denominator ONE, and a product of two such values takes no gcd.
     """
 
     __slots__ = ("num", "den")
@@ -698,9 +698,6 @@ class RatFunc:
             )
         return self.num
 
-    def as_fraction(self) -> Fraction:
-        return self.as_poly().as_fraction()
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -708,10 +705,6 @@ class RatFunc:
             o = RatFunc.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            r = RatFunc.__new__(RatFunc)
-            r.num, r.den = self.num + o.num, ONE
-            return r
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -815,4 +808,3 @@ class RatFunc:
 
 
 RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import NonPolynomialResult
-from .multipoly import MultiPoly, ONE, RatFunc, exact_div
+from .multipoly import MultiPoly, ONE, ZERO, RatFunc, exact_div
 from .partitions import Partition, partition_list
 from .series import TruncatedSeries, gaussian_binomial, qpoch_poly
 
@@ -29,9 +29,9 @@ def egf_cycle_statistic(order: int, weight: Callable[[Partition], object]):
     """
     coeffs = []
     for n in range(order + 1):
-        total = RatFunc.coerce(0)
+        total = ZERO
         for lam in partition_list(n):
-            total = total + RatFunc.coerce(weight(lam)) * lam.class_size
+            total = total + weight(lam) * lam.class_size
         coeffs.append(total * Fraction(1, math.factorial(n)))
     return TruncatedSeries("x", order, coeffs)
 

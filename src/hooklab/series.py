@@ -1,16 +1,18 @@
-"""Truncated formal power series over exact rational-function coefficients.
+"""Truncated formal power series over exact polynomial or rational coefficients.
 
 A TruncatedSeries fixes a series variable name and an order N and stores the
-coefficients of x^0..x^N as RatFunc values (plain polynomials embed with
-denominator 1 and cost nothing extra).  The series variable is bookkeeping
+coefficients of x^0..x^N as the ring elements it is given: a MultiPoly or a
+RatFunc as it is, an int or Fraction as a constant MultiPoly.  So a RatFunc
+appears only where a caller builds one.  The series variable is bookkeeping
 only: coefficients must not involve it, which the constructor enforces when
 the name collides with a coefficient variable.
 
 exp and log use the standard derivative recurrences, so series with
 polynomial coefficients keep polynomial coefficients: the only divisions are
-by integers (exp, log) or by the constant term (div).  That is what makes
-binomial-type products (1 - x^k)^(-E) come out with coefficients polynomial
-in the exponent's variables, which several checks rely on.
+by integers (exp, log) or by a unit of the coefficient ring (div: a nonzero
+constant or RatFunc).  That is what makes binomial-type products
+(1 - x^k)^(-E) come out with coefficients polynomial in the exponent's
+variables, which several checks rely on.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadConstantTerm, DivisionByNonUnit
-from .multipoly import ONE, VARIABLES, ZERO, MultiPoly, RatFunc, RF_ZERO
+from .multipoly import ONE, VARIABLES, ZERO, MultiPoly, RatFunc
+
+
+def _element(value):
+    """A MultiPoly or RatFunc as given, else MultiPoly.const(value): a float raises."""
+    if isinstance(value, (MultiPoly, RatFunc)):
+        return value
+    return MultiPoly.const(value)
 
 
 class TruncatedSeries:
@@ -32,11 +41,12 @@ class TruncatedSeries:
     def __init__(self, var: str, order: int, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        padded = [RatFunc.coerce(c) for c in coeffs][: order + 1]
-        padded += [RF_ZERO] * (order + 1 - len(padded))
+        padded = [_element(c) for c in coeffs][: order + 1]
+        padded += [ZERO] * (order + 1 - len(padded))
         if var in VARIABLES:
             for c in padded:
-                if c.num.degree(var) > 0 or c.den.degree(var) > 0:
+                polys = (c.num, c.den) if isinstance(c, RatFunc) else (c,)
+                if any(p.degree(var) > 0 for p in polys):
                     raise ValueError(
                         f"coefficient of a series in {var} must not involve {var}"
                     )
@@ -59,29 +69,27 @@ class TruncatedSeries:
         """coeff * var^deg, truncated (zero series if deg > order)."""
         if deg < 0:
             raise ValueError("monomial degree must be nonnegative")
-        coeffs = [RF_ZERO] * (order + 1)
+        coeffs = [ZERO] * (order + 1)
+        c = _element(coeff)
         if deg <= order:
-            coeffs[deg] = RatFunc.coerce(coeff)
+            coeffs[deg] = c
         return TruncatedSeries(var, order, coeffs)
 
     @staticmethod
     def from_poly(p: MultiPoly, name: str, var: str, order: int) -> TruncatedSeries:
         """Reinterpret a univariate polynomial in `name` as a series in `var`."""
-        coeffs = [RF_ZERO] * (order + 1)
+        coeffs = [ZERO] * (order + 1)
         for deg, c in p.as_univariate(name).items():
             if deg <= order:
-                coeffs[deg] = RatFunc.coerce(c)
+                coeffs[deg] = c
         return TruncatedSeries(var, order, coeffs)
 
     # ----- access ---------------------------------------------------------
 
-    def coefficient(self, n: int) -> RatFunc:
+    def coefficient(self, n: int) -> MultiPoly | RatFunc:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def poly_coefficient(self, n: int) -> MultiPoly:
-        return self.coefficient(n).as_poly()
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -134,10 +142,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            c = RatFunc.coerce(other)
             out = TruncatedSeries.__new__(TruncatedSeries)
             out.var, out.order = self.var, self.order
-            out.coeffs = tuple(a * c for a in self.coeffs)
+            out.coeffs = tuple(a * other for a in self.coeffs)
             return out
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -146,7 +153,7 @@ class TruncatedSeries:
         a = self.coeffs
         b = other.coeffs
         # Cauchy product, skipping zero coefficients (series here are often sparse).
-        out = [RF_ZERO] * (n + 1)
+        out = [ZERO] * (n + 1)
         for i, ai in enumerate(a):
             if ai.is_zero():
                 continue
@@ -163,21 +170,20 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            c = RatFunc.coerce(other)
-            if c.is_zero():
+            if not other:
                 raise ZeroDivisionError("series divided by zero scalar")
-            return self * (RatFunc(ONE) / c)
+            other = TruncatedSeries.const(other, self.var, self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         b0 = other.coeffs[0]
-        if b0.is_zero():
+        if b0.is_zero() or isinstance(b0, MultiPoly) and not b0.is_constant():
             raise DivisionByNonUnit(
-                "series division needs an invertible constant term"
+                f"series division needs an invertible constant term, not {b0.render()}"
             )
-        inv_b0 = RatFunc(ONE) / b0
+        inv_b0 = 1 / b0 if isinstance(b0, RatFunc) else 1 / b0.constant_term()
         n = self.order
-        out: list[RatFunc] = []
+        out = []
         for k in range(n + 1):
             acc = self.coeffs[k]
             for j in range(k):
@@ -220,9 +226,9 @@ class TruncatedSeries:
             raise BadConstantTerm("exp needs constant term 0")
         n = self.order
         s = self.coeffs
-        out = [RatFunc(ONE)] + [RF_ZERO] * n
+        out = [ONE] + [ZERO] * n
         for m in range(1, n + 1):
-            acc = RF_ZERO
+            acc = ZERO
             for k in range(1, m + 1):
                 if not s[k].is_zero() and not out[m - k].is_zero():
                     acc = acc + s[k] * out[m - k] * Fraction(k)
@@ -231,11 +237,11 @@ class TruncatedSeries:
 
     def log(self) -> TruncatedSeries:
         """log of a series with constant term 1."""
-        if self.coeffs[0] != RatFunc(ONE):
+        if self.coeffs[0] != ONE:
             raise BadConstantTerm("log needs constant term 1")
         n = self.order
         s = self.coeffs
-        out = [RF_ZERO] * (n + 1)
+        out = [ZERO] * (n + 1)
         for m in range(1, n + 1):
             acc = s[m] * Fraction(m)
             for k in range(1, m):
@@ -276,9 +282,9 @@ def geometric(var: str, order: int, deg: int = 1, coeff=1) -> TruncatedSeries:
     """1/(1 - coeff*var^deg) expanded directly (no division needed)."""
     if deg < 1:
         raise ValueError("geometric factor needs degree >= 1")
-    c = RatFunc.coerce(coeff)
-    coeffs = [RF_ZERO] * (order + 1)
-    power = RatFunc(ONE)
+    c = _element(coeff)
+    coeffs = [ZERO] * (order + 1)
+    power = ONE
     k = 0
     while k * deg <= order:
         coeffs[k * deg] = power
@@ -291,8 +297,8 @@ def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
     """log(1 - coeff*var^deg) = -sum coeff^m var^(deg m)/m."""
     if deg < 1:
         raise ValueError("log expansion needs degree >= 1")
-    c = RatFunc.coerce(coeff)
-    coeffs = [RF_ZERO] * (order + 1)
+    c = _element(coeff)
+    coeffs = [ZERO] * (order + 1)
     power = c
     m = 1
     while m * deg <= order:
@@ -308,7 +314,7 @@ def binomial_series(exponent, var: str, order: int, deg: int = 1):
     The exponent may be any polynomial (or rational constant); coefficients of
     the result are polynomials in the exponent's variables.
     """
-    e = RatFunc.coerce(exponent)
+    e = _element(exponent)
     return (log_one_minus(var, order, deg) * (-e)).exp()
 
 
@@ -321,7 +327,7 @@ def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int, order: int):
     a._check_compatible(q)
     var = a.var
 
-    def mono(s: TruncatedSeries) -> tuple[int, RatFunc]:
+    def mono(s: TruncatedSeries) -> tuple[int, MultiPoly | RatFunc]:
         nz = [(d, c) for d, c in enumerate(s.coeffs) if not c.is_zero()]
         if len(nz) != 1:
             raise ValueError("pochhammer arguments must be monomial series")
@@ -400,7 +406,7 @@ def eta_product(factors, order: int) -> TruncatedSeries:
         plus = len(fac) > 3 and fac[3]
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        neg_e = -RatFunc.coerce(expo)
+        neg_e = -_element(expo)
         for deg in range(stride - offset, order + 1, stride):
             if deg >= 1:
                 total = total + log_one_minus("x", order, deg, -1 if plus else 1) * neg_e

@@ -198,3 +198,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from hooklab import *", namespace)
     assert set(hooklab.__all__) <= set(namespace)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """README's library example runs, and each print prints its comment."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert prints and all("  # " in line for line in prints), prints
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.rsplit("  # ", 1)[1] for line in prints]
+    assert capsys.readouterr().out.splitlines() == expected

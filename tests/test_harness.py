@@ -347,6 +347,27 @@ def test_a_dead_worker_loses_only_its_check(pool, baton, die, status):
     ]
 
 
+@pytest.mark.parametrize("exc", [SystemExit(3), KeyboardInterrupt()], ids=repr)
+def test_a_base_exception_ends_a_serial_run(pool, exc):
+    """Serially, a BaseException that is not an Exception leaves run_all and
+    no later check runs; a forked worker contains it instead (see
+    test_a_dead_worker_loses_only_its_check[interrupt])."""
+    ran = []
+
+    def raises(bounds):
+        raise exc
+
+    def later(bounds):
+        ran.append(bounds)
+        return "verified", None, "ran"
+
+    pool.register([_square(0), raises, later])
+    with pytest.raises(type(exc)) as info:
+        pool.run(parallelism=1)
+    assert info.value is exc
+    assert ran == [] and pool.forks == []
+
+
 def test_interrupt_in_the_caller_kills_every_worker(pool, baton):
     read, write = baton
 

@@ -312,13 +312,13 @@ def test_max_unit_hooks_brute_force():
 
     fixed = unit_hook_series(20, corrected=True)
     for n in range(21):
-        assert fixed.poly_coefficient(n).as_fraction() == values[n]
+        assert fixed.coefficient(n).as_fraction() == values[n]
 
 
 def test_uncorrected_unit_hook_series_overcounts_from_order_two():
     direct = unit_hook_series(6)
-    assert direct.poly_coefficient(1).as_fraction() == 1
-    assert direct.poly_coefficient(2).as_fraction() == 2  # the defect
+    assert direct.coefficient(1).as_fraction() == 1
+    assert direct.coefficient(2).as_fraction() == 2  # the defect
     assert max_unit_hooks(2) == 1
 
 
@@ -339,8 +339,8 @@ def _top_hook_poly(n, gap2_only):
 def test_top_hook_series_matches_enumeration(gap2):
     s = top_hook_series(12, gap2_only=gap2)
     for n in range(1, 13):
-        assert s.poly_coefficient(n) == _top_hook_poly(n, gap2)
-    base = s.poly_coefficient(0)
+        assert s.coefficient(n) == _top_hook_poly(n, gap2)
+    base = s.coefficient(0)
     assert base.is_zero() if gap2 else base.is_one()
 
 
@@ -348,10 +348,10 @@ def test_rr_q_series_against_enumeration():
     prop91 = rr_q_series("prop91", 10)
     middle = rr_q_series("prop92_middle", 10)
     for n in range(1, 11):
-        assert prop91.poly_coefficient(n) == _top_hook_poly(n, True)
-        assert middle.poly_coefficient(n) == _top_hook_poly(n, False)
-    assert prop91.poly_coefficient(4) == 2 * Q**4
-    assert prop91.poly_coefficient(1) == Q
+        assert prop91.coefficient(n) == _top_hook_poly(n, True)
+        assert middle.coefficient(n) == _top_hook_poly(n, False)
+    assert prop91.coefficient(4) == 2 * Q**4
+    assert prop91.coefficient(1) == Q
 
 
 def test_rr_q_series_rejects_unknown_kind():
@@ -365,7 +365,7 @@ def test_rr_counts_match_products_and_sets():
     assert count.first_difference(prod) is None
     for n in range(21):
         a_set, b_set = rr_sets(n)
-        assert count.poly_coefficient(n).as_fraction() == len(a_set) == len(b_set)
+        assert count.coefficient(n).as_fraction() == len(a_set) == len(b_set)
 
 
 # ----- partition-indexed series engines ---------------------------------------------
@@ -374,13 +374,13 @@ def test_rr_counts_match_products_and_sets():
 def test_partition_gf_counts():
     s = partition_gf(15)
     for n in range(16):
-        assert s.poly_coefficient(n).as_fraction() == partition_count(n)
+        assert s.coefficient(n).as_fraction() == partition_count(n)
 
 
 def test_product_series_with_unit_weight_counts_partitions():
     s = partition_product_series(8, lambda cs, lam: 1)
     for n in range(9):
-        assert s.poly_coefficient(n).as_fraction() == partition_count(n)
+        assert s.coefficient(n).as_poly().as_fraction() == partition_count(n)
 
 
 def test_product_sum_content_over_hook_known_case():

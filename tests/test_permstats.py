@@ -136,7 +136,7 @@ def test_involution_trace_moments():
 def test_involution_egf_matches_counts():
     s = involution_egf(10)
     for n in range(11):
-        assert s.poly_coefficient(n).as_fraction() == Fraction(
+        assert s.coefficient(n).as_fraction() == Fraction(
             involution_count(n), math.factorial(n)
         )
 
@@ -189,7 +189,7 @@ def test_cycle_statistic_egf_against_brute_force():
         for pi in permutations(range(n)):
             odd, even = _cycle_counts(pi)
             acc = acc + MultiPoly.monomial({"t": odd, "q": even})
-        assert s.poly_coefficient(n) * math.factorial(n) == acc
+        assert s.coefficient(n) * math.factorial(n) == acc
 
 
 # ----- q-analogues ----------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooklab.errors import BadConstantTerm, DivisionByNonUnit
-from hooklab.multipoly import MultiPoly, RatFunc, exact_div
+from hooklab.identities import partition_gf, rr_q_series
+from hooklab.multipoly import ONE, MultiPoly, RatFunc, exact_div
 from hooklab.partitions import partition_count, partition_list
+from hooklab.permstats import involution_egf
 from hooklab.series import (
     TruncatedSeries,
     binomial_poly,
@@ -17,6 +19,7 @@ from hooklab.series import (
     eta_product,
     gaussian_binomial,
     geometric,
+    log_one_minus,
     pochhammer,
     qpoch_poly,
 )
@@ -32,10 +35,10 @@ def from_ints(vals, order=ORD):
 def test_basic_algebra():
     s = from_ints([1, 2, 3])
     t = from_ints([0, 1])
-    assert (s + t).poly_coefficient(1).as_fraction() == 3
+    assert (s + t).coefficient(1).as_fraction() == 3
     assert (s - s).is_zero()
-    assert (s * t).poly_coefficient(1).as_fraction() == 1
-    assert (s * t).poly_coefficient(3).as_fraction() == 3
+    assert (s * t).coefficient(1).as_fraction() == 1
+    assert (s * t).coefficient(3).as_fraction() == 3
 
 
 def test_uncoercible_operands_are_not_implemented():
@@ -46,8 +49,8 @@ def test_uncoercible_operands_are_not_implemented():
         0.5 - s
     with pytest.raises(TypeError):
         s - 0.5
-    assert (1 - s).poly_coefficient(0).as_fraction() == 0
-    assert (1 - s).poly_coefficient(1).as_fraction() == -2
+    assert (1 - s).coefficient(0).as_fraction() == 0
+    assert (1 - s).coefficient(1).as_fraction() == -2
 
 
 def test_ratfunc_defers_to_series_and_rejects_floats():
@@ -67,6 +70,57 @@ def test_ratfunc_defers_to_series_and_rejects_floats():
         r / 0.5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries("x", ORD, [1, 0.5]),
+        lambda: TruncatedSeries.const(0.5, "x", ORD),
+        lambda: TruncatedSeries.monomial("x", ORD, 2, 0.5),
+        lambda: TruncatedSeries.monomial("x", 3, 5, 0.5),  # past the order too
+        lambda: from_ints([1, 2]) * 0.5,
+        lambda: 0.5 * from_ints([1, 2]),
+        lambda: from_ints([1, 2]) / 0.5,
+        lambda: geometric("x", ORD, 1, 0.5),
+        lambda: log_one_minus("x", ORD, 1, 0.5),
+        lambda: binomial_series(0.5, "x", ORD),
+        lambda: eta_product([(1, 0, 1), (2, 1, 0.5)], ORD),
+    ],
+    ids=[
+        "constructor", "const", "monomial", "monomial-past-order", "scalar-mul",
+        "scalar-rmul", "scalar-div", "geometric-coeff", "log_one_minus-coeff",
+        "binomial-exponent", "eta-exponent",
+    ],
+)
+def test_floats_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_polynomial_builders_hold_only_multipoly_values():
+    t = MultiPoly.var("t")
+    built = {
+        "eta_product": eta_product([(1, 0, t + 1), (2, 1, 2, True)], 10),
+        "binomial_series": binomial_series(t * t - 1, "x", 8, deg=2),
+        "partition_gf": partition_gf(10),
+        "involution_egf": involution_egf(8),
+    }
+    for kind in ("prop91", "prop92_middle", "prop92_right", "thm95"):
+        built[kind] = rr_q_series(kind, 9)
+    kinds = {name: {type(c) for c in s.coeffs} for name, s in built.items()}
+    assert kinds == {name: {MultiPoly} for name in built}
+
+
+def test_ratfunc_series_divide_by_one_minus_t():
+    # As in q_eulerian_B_reference: RatFunc coefficients, constant term 1 - t.
+    t, q = MultiPoly.var("t"), MultiPoly.var("q")
+    den = TruncatedSeries("x", 5, [RatFunc(1 - t), RatFunc(t, 1 - q), RatFunc(ONE, 1 - q * q)])
+    num = TruncatedSeries("x", 5, [1, t, RatFunc(q, 1 + t)])
+    quotient = num / den
+    assert quotient.coefficient(0) == RatFunc(ONE, 1 - t)
+    assert (quotient * den).first_difference(num) is None
+    assert (num / RatFunc(1 - t)).first_difference(num * RatFunc(ONE, 1 - t)) is None
+
+
 def test_geometric_inverts_one_minus_x():
     one_minus = from_ints([1, -1])
     assert (geometric("x", ORD) * one_minus).first_difference(from_ints([1])) is None
@@ -81,6 +135,19 @@ def test_division_roundtrip():
 def test_division_needs_unit_constant_term():
     with pytest.raises(DivisionByNonUnit):
         from_ints([1]) / from_ints([0, 1])
+    # A unit of the coefficient ring: no silent switch to RatFunc coefficients.
+    t = MultiPoly.var("t")
+    s = from_ints([1, 2, 3])
+    with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
+        s / TruncatedSeries("x", ORD, [1 - t, 1])
+    with pytest.raises(DivisionByNonUnit, match="not t"):
+        s / t
+    for zero in (0, Fraction(0), MultiPoly.const(0), RatFunc(0)):
+        with pytest.raises(ZeroDivisionError):
+            s / zero
+    halved = s / MultiPoly.const(2)
+    assert halved.first_difference(s * Fraction(1, 2)) is None
+    assert {type(c) for c in halved.coeffs} == {MultiPoly}
 
 
 rational_lists = st.lists(
@@ -124,9 +191,15 @@ def test_from_poly_and_coefficient_views():
     t = MultiPoly.var("t")
     p = 3 * t**2 + t + 2
     s = TruncatedSeries.from_poly(p, "t", "x", ORD)
-    assert s.poly_coefficient(0).as_fraction() == 2
-    assert s.poly_coefficient(2).as_fraction() == 3
+    assert s.coefficient(0).as_fraction() == 2
+    assert s.coefficient(2).as_fraction() == 3
     assert s.coefficient(5) == RatFunc.coerce(0)
+    # coefficient returns the element stored: scalars lifted, the rest as given
+    r = RatFunc(t)
+    given = TruncatedSeries("x", 3, [2, t, r])
+    assert given.coefficient(0) == 2 and type(given.coefficient(0)) is MultiPoly
+    assert given.coefficient(1) is t and given.coefficient(2) is r
+    assert type(given.coefficient(3)) is MultiPoly
 
 
 def test_first_difference_reports_smallest_order():
@@ -144,13 +217,13 @@ def test_pentagonal_number_expansion():
     euler = eta_product([(1, 0, -1)], 20)
     expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
     for n in range(21):
-        assert euler.poly_coefficient(n).as_fraction() == expected.get(n, 0)
+        assert euler.coefficient(n).as_fraction() == expected.get(n, 0)
 
 
 def test_partition_generating_series_two_ways():
     gf = eta_product([(1, 0, 1)], 25)
     for n in range(26):
-        assert gf.poly_coefficient(n).as_fraction() == partition_count(n)
+        assert gf.coefficient(n).as_fraction() == partition_count(n)
     # and the recurrence agrees with raw enumeration
     for n in range(12):
         assert partition_count(n) == len(partition_list(n))
@@ -161,15 +234,15 @@ def test_binomial_series_is_group_like():
     up = binomial_series(t, "x", 10)
     down = binomial_series(-t, "x", 10)
     prod = up * down
-    assert prod.poly_coefficient(0).is_one()
-    assert all(prod.poly_coefficient(n).is_zero() for n in range(1, 11))
+    assert prod.coefficient(0).is_one()
+    assert all(prod.coefficient(n).is_zero() for n in range(1, 11))
 
 
 def test_binomial_series_integer_exponent_matches_binomials():
     s = binomial_series(MultiPoly.const(3), "x", 8)
     # (1-x)^-3 has coefficients C(n+2, 2)
     for n in range(9):
-        assert s.poly_coefficient(n).as_fraction() == math.comb(n + 2, 2)
+        assert s.coefficient(n).as_fraction() == math.comb(n + 2, 2)
 
 
 def test_binomial_poly_spot():
@@ -257,7 +330,7 @@ def test_polynomial_exponent_eta_factor():
     # prod (1-x^j)^(-(t+1)) at t=0 collapses to the partition series
     s = eta_product([(1, 0, t + 1)], 10)
     at0 = TruncatedSeries(
-        "x", 10, [s.poly_coefficient(n).subs("t", 0) for n in range(11)]
+        "x", 10, [s.coefficient(n).subs("t", 0) for n in range(11)]
     )
     assert at0.first_difference(eta_product([(1, 0, 1)], 10)) is None
 
