@@ -387,7 +387,7 @@ def _run_X35(bounds):
 def _run_X36(bounds):
     for n in range(bounds["max_n"] + 1):
         total = partition_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
-        if not total.is_polynomial():
+        if not isinstance(total, MultiPoly):
             return _bad(f"n={n}: sum did not reduce to a polynomial: {total.render()}")
         if total != involution_moment_poly(n):
             return _bad(f"n={n}: {total.render()} vs {involution_moment_poly(n).render()}")

@@ -1,9 +1,9 @@
 """Partition-indexed generating functions and standalone finite identities.
 
 Everything here returns exact objects: series in x whose coefficients are
-polynomials in the coefficient variables (rational functions only where a
-weight has a denominator), or single rational numbers for the finite
-identities.  Partition sums always iterate in the reverse-lexicographic
+polynomials in the coefficient variables (a RatFunc only where a sum keeps a
+denominator that does not divide out), or single rational numbers for the
+finite identities.  Partition sums always iterate in the reverse-lexicographic
 enumeration order so that any coefficient can be traced back to the
 partitions that produced it.
 """
@@ -41,7 +41,7 @@ CellWeight = Callable[[CellStats, Partition], object]
 # ----- partition-indexed series -------------------------------------------------
 
 
-def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
+def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     """sum over lambda |- n of the product of weight(u) over the cells of lambda.
 
     Integer and Fraction weights multiply one scalar per partition.  Every
@@ -53,7 +53,8 @@ def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
     is multiplied once per distinct multiset; fresh objects give the same sum
     but no sharing.  Products with equal denominators are added first, then
     each such class is brought over prod f^(largest multiplicity) of the
-    denominator factors f, and only the final quotient is reduced.
+    denominator factors f, and only the final quotient is reduced: the
+    result is a MultiPoly when the denominators divide out, else a RatFunc.
     """
     objects, groups = {}, {}  # objects keeps every id distinct for the call
     for lam in partition_list(n):
@@ -67,11 +68,11 @@ def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
                 ) from exc
             if isinstance(w, (int, Fraction)):
                 scale *= w
-            else:
-                if not isinstance(w, MultiPoly):
-                    w = RatFunc.coerce(w)
+            elif isinstance(w, (MultiPoly, RatFunc)):
                 objects[id(w)] = w
                 ids.append(id(w))
+            else:
+                raise TypeError(f"cannot use {type(w).__name__} as an exact cell weight")
         key = tuple(sorted(ids))
         groups[key] = groups.get(key, 0) + scale
     parts, dens = {}, {}  # id -> (numerator, denominator index); den -> index
@@ -79,7 +80,7 @@ def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
         if isinstance(w, MultiPoly):
             parts[i] = w, None
         else:
-            parts[i] = w.num, None if w.den.is_one() else dens.setdefault(w.den, len(dens))
+            parts[i] = w.num, dens.setdefault(w.den, len(dens))
     classes = {}  # sorted denominator indices -> summed numerators
     for key, scale in groups.items():
         if not scale:
@@ -101,7 +102,7 @@ def partition_product_sum(n: int, weight: CellWeight) -> RatFunc:
         for d, k in (den - Counter(ds)).items():
             num = num * polys[d] ** k
         total = total + num
-    return RatFunc(total, math.prod((polys[d] ** m for d, m in den.items()), start=ONE))
+    return total / math.prod((polys[d] ** m for d, m in den.items()), start=ONE)
 
 
 def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
@@ -197,13 +198,13 @@ def _shifted_hooks(n: int) -> list[MultiPoly]:
     return [ONE] + [(t + h) * Fraction(1, h) for h in range(1, n + 1)]
 
 
-def arm_zero_sum(n: int) -> RatFunc:
+def arm_zero_sum(n: int) -> MultiPoly:
     """sum over lambda of prod over arm-free cells of (h_u + t)/h_u."""
     table = _shifted_hooks(n)
     return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.arm == 0 else 1)
 
 
-def leg_zero_sum(n: int) -> RatFunc:
+def leg_zero_sum(n: int) -> MultiPoly:
     table = _shifted_hooks(n)
     return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.leg == 0 else 1)
 
@@ -436,12 +437,13 @@ def part_count_rhs_series(order: int) -> TruncatedSeries:
 
 
 @functools.lru_cache(maxsize=None)
-def surd_hook_factor(h: int) -> RatFunc:
-    """[(1+a)^h + (1-a)^h] / [(1+a)^h - (1-a)^h] * a/h as a rational function."""
+def surd_hook_factor(h: int) -> MultiPoly | RatFunc:
+    """[(1+a)^h + (1-a)^h] / [(1+a)^h - (1-a)^h] * a/h in lowest terms: a
+    MultiPoly for h <= 2, a RatFunc from h = 3 on."""
     a = MultiPoly.var("a")
     plus = (ONE + a) ** h
     minus = (ONE - a) ** h
-    return RatFunc(plus + minus) / RatFunc(plus - minus) * a * Fraction(1, h)
+    return (plus + minus) * a / ((plus - minus) * h)
 
 
 def involution_moment_poly(n: int) -> MultiPoly:

@@ -23,10 +23,14 @@ raises ExponentOverflow.  The public interface (``MultiPoly(terms)``,
 rejects a tuple of the wrong length, a negative exponent (ValueError) and
 an exponent that is not an int (TypeError).
 
-RatFunc is a quotient of two MultiPoly values kept in reduced form: the gcd
-of numerator and denominator is divided out and both are rescaled so the
-denominator's lexicographically leading coefficient is 1.  Equal values then
-have equal (content, primitive) pairs, so ``==`` is a data comparison.
+A polynomial is always a MultiPoly.  The quotient p / q of two MultiPoly
+values is taken in lowest terms: the gcd of p and q is divided out, and
+what is left is the MultiPoly p/q when q divides p, otherwise a RatFunc
+whose denominator is not constant and has lexicographically leading
+coefficient 1.  Every RatFunc operation returns through the same
+normalisation, so a result that reduces to a polynomial comes back as a
+MultiPoly.  Equal values then have equal (content, primitive) pairs, so
+``==`` is a data comparison, and a RatFunc never equals a polynomial.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ExponentOverflow, NonPolynomialResult, NotUnivariate
+from .errors import ExponentOverflow, NotUnivariate
 
 #: Coefficient variables, in the fixed order used by every exponent vector.
 #: t, q, v, a, b, z are the scalar parameters appearing in identities; the
@@ -332,13 +336,12 @@ class MultiPoly:
         return result
 
     def __truediv__(self, other):
-        """Division by an exact scalar only; use RatFunc for polynomial quotients."""
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                raise ZeroDivisionError("division of polynomial by zero")
-            return self * (1 / c)
-        return NotImplemented
+        """The quotient by an exact scalar or a MultiPoly, in lowest terms: a
+        MultiPoly when the divisor divides self, otherwise a RatFunc."""
+        d = self._coerce(other)
+        if d is None:
+            return NotImplemented
+        return _quotient(self, d)
 
     def __eq__(self, other):
         p = self._coerce(other)
@@ -631,95 +634,42 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 class RatFunc:
-    """Reduced quotient of MultiPoly values.
+    """Quotient num/den of MultiPoly values in lowest terms, built by p / q.
 
-    Canonical form: gcd(num, den) divided out, then both scaled so the
-    denominator's lex-leading coefficient is 1.  Polynomials stay MultiPoly
-    wherever no denominator arises; one that meets a RatFunc embeds with
-    denominator ONE, and a product of two such values takes no gcd.
+    Canonical form: gcd(num, den) is 1, and den is not constant and has
+    lex-leading coefficient 1.  A quotient that reduces to a polynomial is a
+    MultiPoly instead, so a RatFunc is never zero and never equals a
+    polynomial or a scalar.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
-        if not isinstance(num, MultiPoly):
-            num = MultiPoly.const(num)
-        if den is None:
-            den = ONE
-        elif not isinstance(den, MultiPoly):
-            den = MultiPoly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        if den.is_one():
-            self.num, self.den = num, den
-            return
-        if not _reduced:
-            if den.is_constant():
-                num = num * (1 / den.constant_term())
-                den = ONE
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
-        if not den.is_one():
-            _, lead = den.lex_leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+    def __init__(self, num: MultiPoly, den: MultiPoly):
+        # Only _coprime_quotient and the sign and scalar paths below build
+        # one, always from a canonical pair.
         self.num, self.den = num, den
 
-    # -- helpers
-
-    @staticmethod
-    def coerce(value) -> RatFunc:
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, MultiPoly):
-            return RatFunc(value)
-        if isinstance(value, (int, Fraction)):
-            return RatFunc(MultiPoly.const(value))
-        raise TypeError(f"cannot interpret {type(value).__name__} as a rational function")
-
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_poly(self) -> MultiPoly:
-        if not self.den.is_one():
-            raise NonPolynomialResult(
-                f"denominator {self.den.render()} did not clear"
-            )
-        return self.num
+        return False
 
     # -- arithmetic
 
     def __add__(self, other):
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        num, den = o
+        return _quotient(self.num * den + num * self.den, self.den * den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+        if _parts(other) is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -727,84 +677,96 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # A nonzero scalar keeps the quotient reduced and the denominator.
-            if not other or self.num.is_zero():
-                return RF_ZERO
-            r = RatFunc.__new__(RatFunc)
-            r.num, r.den = self.num * other, self.den
-            return r
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+            return RatFunc(self.num * other, self.den) if other else ZERO
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        if self.num.is_zero() or o.num.is_zero():
-            return RF_ZERO
-        if self.den.is_one() and o.den.is_one():
-            r = RatFunc.__new__(RatFunc)
-            r.num, r.den = self.num * o.num, ONE
-            return r
-        # cross-reduce before multiplying to keep operands small
-        g1 = poly_gcd(self.num, o.den)
-        g2 = poly_gcd(o.num, self.den)
-        n1 = self.num if g1.is_one() else exact_div(self.num, g1)
-        d2 = o.den if g1.is_one() else exact_div(o.den, g1)
-        n2 = o.num if g2.is_one() else exact_div(o.num, g2)
-        d1 = self.den if g2.is_one() else exact_div(self.den, g2)
-        return RatFunc(n1 * n2, d1 * d2, _reduced=True)
+        return _product(self.num, self.den, *o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        inv = RatFunc.__new__(RatFunc)
-        inv.num, inv.den = o.den, o.num
-        return self * inv
+        num, den = o
+        if num.is_zero():
+            raise ZeroDivisionError("division of a rational function by zero")
+        return _product(self.num, self.den, den, num)
 
     def __rtruediv__(self, other):
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return _product(*o, self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:
-            base = RatFunc(self.den, self.num)
-            n = -n
-        else:
-            base = self
-        return RatFunc(base.num ** n, base.den ** n, _reduced=True)
+            return _coprime_quotient(self.den ** -n, self.num ** -n)
+        return _coprime_quotient(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        try:
-            o = RatFunc.coerce(other)
-        except TypeError:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # A polynomial equals its numerator, so it must hash like one.
-        if self.den.is_one():
-            return hash(self.num)
         return hash((self.num, self.den))
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def subs(self, name: str, value) -> RatFunc:
-        return RatFunc(self.num.subs(name, value), self.den.subs(name, value))
+    def subs(self, name: str, value) -> MultiPoly | RatFunc:
+        return self.num.subs(name, value) / self.den.subs(name, value)
 
     def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
         return f"({self.num.render()}) / ({self.den.render()})"
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
 
 
-RF_ZERO = RatFunc(ZERO)
+def _parts(value) -> tuple[MultiPoly, MultiPoly] | None:
+    """(numerator, denominator) of a RatFunc, MultiPoly or exact scalar."""
+    if isinstance(value, RatFunc):
+        return value.num, value.den
+    if isinstance(value, MultiPoly):
+        return value, ONE
+    if isinstance(value, (int, Fraction)):
+        return MultiPoly.const(value), ONE
+    return None
+
+
+def _quotient(num: MultiPoly, den: MultiPoly) -> MultiPoly | RatFunc:
+    """num/den in lowest terms: their gcd divided out, then _coprime_quotient."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero():
+        return ZERO
+    if not den.is_constant():
+        g = poly_gcd(num, den)
+        if not g.is_one():
+            num, den = exact_div(num, g), exact_div(den, g)
+    return _coprime_quotient(num, den)
+
+
+def _coprime_quotient(num: MultiPoly, den: MultiPoly) -> MultiPoly | RatFunc:
+    """num/den for coprime num and den != 0: both scaled so that den has
+    lex-leading coefficient 1, then num alone if den is the constant 1."""
+    _, lead = den.lex_leading()
+    if lead != 1:
+        inv = 1 / lead
+        num, den = num * inv, den * inv
+    return num if den.is_one() else RatFunc(num, den)
+
+
+def _product(n1: MultiPoly, d1: MultiPoly, n2: MultiPoly, d2: MultiPoly) -> MultiPoly | RatFunc:
+    """(n1/d1) * (n2/d2) for coprime pairs.  Each numerator is reduced
+    against the other denominator first, which keeps the operands small and
+    leaves a coprime product, so the product itself takes no gcd."""
+    if n1.is_zero() or n2.is_zero():
+        return ZERO
+    g1 = poly_gcd(n1, d2)
+    g2 = poly_gcd(n2, d1)
+    if not g1.is_one():
+        n1, d2 = exact_div(n1, g1), exact_div(d2, g1)
+    if not g2.is_one():
+        n2, d1 = exact_div(n2, g2), exact_div(d1, g2)
+    return _coprime_quotient(n1 * n2, d1 * d2)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import NonPolynomialResult
-from .multipoly import MultiPoly, ONE, ZERO, RatFunc, exact_div
+from .multipoly import MultiPoly, ONE, ZERO, exact_div
 from .partitions import Partition, partition_list
 from .series import TruncatedSeries, gaussian_binomial, qpoch_poly
 
@@ -189,13 +189,17 @@ def q_eulerian_B_reference(n: int) -> MultiPoly:
         raise ValueError("q-Eulerian B_n needs n >= 1")
 
     def e_scaled(scale: MultiPoly) -> TruncatedSeries:
-        return TruncatedSeries(
-            "z", n, [RatFunc(scale**m, qpoch_poly(m)) for m in range(n + 1)]
-        )
+        return TruncatedSeries("z", n, [scale**m / qpoch_poly(m) for m in range(n + 1)])
 
     e1 = e_scaled(ONE)
     et = e_scaled(_T)
     e2t = e_scaled(2 * _T)
     e2 = e_scaled(MultiPoly.const(2))
-    quotient = (e1 - et) * (et + e1 * _T) / (e2t - e2 * _T)
-    return (quotient.coefficient(n) * qpoch_poly(n)).as_poly()
+    # The divisor's constant term 1 - t is no unit of the polynomial ring, so
+    # scale both sides by 1/(1 - t) to make it 1.
+    unit = ONE / (ONE - _T)
+    quotient = (e1 - et) * (et + e1 * _T) * unit / ((e2t - e2 * _T) * unit)
+    coeff = quotient.coefficient(n) * qpoch_poly(n)
+    if not isinstance(coeff, MultiPoly):
+        raise NonPolynomialResult(f"denominator {coeff.den.render()} did not clear")
+    return coeff

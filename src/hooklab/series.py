@@ -3,9 +3,10 @@
 A TruncatedSeries fixes a series variable name and an order N and stores the
 coefficients of x^0..x^N as the ring elements it is given: a MultiPoly or a
 RatFunc as it is, an int or Fraction as a constant MultiPoly.  So a RatFunc
-appears only where a caller builds one.  The series variable is bookkeeping
-only: coefficients must not involve it, which the constructor enforces when
-the name collides with a coefficient variable.
+appears only where a caller divides polynomials (p / q) and a denominator is
+left, and a series equals only another series.  The series variable is
+bookkeeping only: coefficients must not involve it, which the constructor
+enforces when the name collides with a coefficient variable.
 
 exp and log use the standard derivative recurrences, so series with
 polynomial coefficients keep polynomial coefficients: the only divisions are
@@ -200,11 +201,12 @@ class TruncatedSeries:
         return o / self
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        # A scalar is not a series: lifting it to this series' order would
+        # make 1 equal series of every order and break hashing.
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (
-            self.var == o.var and self.order == o.order and self.coeffs == o.coeffs
+            self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
         )
 
     def __hash__(self):

@@ -41,7 +41,7 @@ from hooklab.identities import (
     top_hook_series,
     unit_hook_series,
 )
-from hooklab.multipoly import MultiPoly, ONE, RatFunc
+from hooklab.multipoly import MultiPoly, ONE
 from hooklab.partitions import (
     Partition,
     cell_stats,
@@ -221,7 +221,7 @@ PORTED_WEIGHTS = {
 def test_linear_kernel_matches_generic_product_sum(name):
     factors, cell_weight = PORTED_WEIGHTS[name]
     for n in range(13):
-        got = RatFunc.coerce(linear_product_sum(n, factors))
+        got = linear_product_sum(n, factors)
         want = partition_product_sum(n, cell_weight)
         assert got == want, (name, n)
         assert got.render() == want.render()
@@ -380,15 +380,15 @@ def test_partition_gf_counts():
 def test_product_series_with_unit_weight_counts_partitions():
     s = partition_product_series(8, lambda cs, lam: 1)
     for n in range(9):
-        assert s.coefficient(n).as_poly().as_fraction() == partition_count(n)
+        assert s.coefficient(n).as_fraction() == partition_count(n)
 
 
 def test_product_sum_content_over_hook_known_case():
     # weight (t + c)/h summed over partitions of 1 is just t
     val = partition_product_sum(
-        1, lambda cs, lam: RatFunc(T + cs.content, MultiPoly.const(cs.hook))
+        1, lambda cs, lam: (T + cs.content) / MultiPoly.const(cs.hook)
     )
-    assert val == RatFunc.coerce(T)
+    assert val == T
 
 
 def test_product_sum_surfaces_zero_division_with_location():
@@ -404,23 +404,23 @@ def test_product_sum_surfaces_zero_division_with_location():
 
 
 def _per_cell_oracle(n, weight, cell_filter=None):
-    """Multiply reduced RatFunc weights cell by cell, as the sum once did."""
-    total = RatFunc.coerce(0)
+    """Multiply reduced weights cell by cell, as the sum once did."""
+    total = MultiPoly.const(0)
     for lam in partition_list(n):
-        prod = RatFunc.coerce(1)
+        prod = MultiPoly.const(1)
         for cs in cell_stats(lam):
             if cell_filter is None or cell_filter(cs):
-                prod = prod * RatFunc.coerce(weight(cs, lam))
+                prod = prod * weight(cs, lam)
         total = total + prod
     return total
 
 
 def _shifted_hook(cs, lam):
-    return RatFunc(T + cs.hook) * Fraction(1, cs.hook)
+    return (T + cs.hook) * Fraction(1, cs.hook)
 
 
 def _mixed_weight(cs, lam):
-    """A zero, int, Fraction, MultiPoly or RatFunc with a denominator, by cell."""
+    """A zero, int, Fraction, MultiPoly or RatFunc, by cell."""
     k = (cs.i + 2 * cs.j + cs.hook) % 5
     if k == 0:
         return 0 if cs.hook == 4 else cs.hook
@@ -429,12 +429,12 @@ def _mixed_weight(cs, lam):
     if k == 2:
         return T + cs.content
     if k == 3:
-        return RatFunc(T - cs.content, T + cs.hook)
-    return RatFunc(T + cs.leg) * Fraction(1, cs.hook)
+        return (T - cs.content) / (T + cs.hook)
+    return (T + cs.leg) * Fraction(1, cs.hook)
 
 
 # One object per value, as a table or a memoised function returns them.
-_SHARED_HOOKS = {h: RatFunc(T + h, T + 2 * h) for h in range(1, 13)}
+_SHARED_HOOKS = {h: (T + h) / (T + 2 * h) for h in range(1, 13)}
 
 
 def _shared_hook(cs, lam):
@@ -442,7 +442,7 @@ def _shared_hook(cs, lam):
 
 
 def _fresh_hook(cs, lam):
-    return RatFunc(T + cs.hook, T + 2 * cs.hook)
+    return (T + cs.hook) / (T + 2 * cs.hook)
 
 
 def _signed_corners(cs, lam):
@@ -457,7 +457,7 @@ def _signed_corners(cs, lam):
 
 
 _SHARED_DENOMINATORS = [
-    [RatFunc(T + k, d) for k in range(3)] for d in (T + 1, T + 2, T * T + 3, ONE)
+    [(T + k) / d for k in range(3)] for d in (T + 1, T + 2, T * T + 3, ONE)
 ]
 
 
@@ -470,8 +470,8 @@ def _denominator_classes(cs, lam):
     "max_n, weight, oracle_weight, cell_filter",
     [
         (12, lambda cs, lam: surd_hook_factor(cs.hook), None, None),
-        (7, lambda cs, lam: RatFunc(ONE, T + cs.hook), None, None),
-        (7, lambda cs, lam: RatFunc(T + cs.content, T + cs.hook), None, None),
+        (7, lambda cs, lam: ONE / (T + cs.hook), None, None),
+        (7, lambda cs, lam: (T + cs.content) / (T + cs.hook), None, None),
         (
             8,
             lambda cs, lam: _shifted_hook(cs, lam) if cs.arm == 0 else 1,
@@ -523,22 +523,21 @@ def test_product_sum_rejects_inexact_weights():
 
 
 def _per_summand_oracle(order, summand, mode):
-    """Add every summand as a reduced RatFunc, as the additive series once did."""
+    """Add every summand one by one, as the additive series once did."""
     coeffs = []
     for n in range(order + 1):
-        total = RatFunc.coerce(0)
+        total = MultiPoly.const(0)
         for lam in partition_list(n):
             items = cell_stats(lam) if mode == "cells" else lam.parts
             for item in items:
-                total = total + RatFunc.coerce(summand(item, lam))
+                total = total + summand(item, lam)
         coeffs.append(total)
     return coeffs
 
 
 def _mixed_cell_summand(cs, lam):
     """Every summand type, picked by cell: zero, int, Fraction, MultiPoly
-    with and without a unit content, and RatFunc with and without a
-    denominator."""
+    with and without a unit content, and a RatFunc."""
     k = (cs.i + cs.j + cs.hook) % 7
     return [
         0,
@@ -546,14 +545,14 @@ def _mixed_cell_summand(cs, lam):
         Fraction(cs.content, cs.hook),
         Q ** cs.hook,
         (T + cs.leg) * Fraction(-1, cs.hook + 1),
-        RatFunc(T * Q + cs.arm),
-        RatFunc(T + cs.content, T + cs.hook),
+        T * Q + cs.arm,
+        (T + cs.content) / (T + cs.hook),
     ][k]
 
 
 def _mixed_part_summand(p, lam):
     k = (p + len(lam)) % 6
-    return [0, p, Fraction(1, p), Q**p * Fraction(2, 3), RatFunc(T - p), RatFunc(ONE, T + p)][k]
+    return [0, p, Fraction(1, p), Q**p * Fraction(2, 3), T - p, ONE / (T + p)][k]
 
 
 @pytest.mark.parametrize(
@@ -563,7 +562,7 @@ def _mixed_part_summand(p, lam):
         (_mixed_part_summand, "parts"),
         (lambda cs, lam: Fraction(lam.orthogonal_content(cs.i, cs.j), cs.hook), "cells"),
         (lambda cs, lam: Q ** (cs.hook**2) - Q ** cs.hook, "cells"),
-        (lambda p, lam: RatFunc(Q**p) * p, "parts"),
+        (lambda p, lam: Q**p * p, "parts"),
     ],
     ids=["cells-mixed", "parts-mixed", "cells-fraction", "cells-poly", "parts-ratfunc"],
 )
@@ -620,9 +619,9 @@ def test_involution_moment_poly_counts_two_cycles():
 
 def test_surd_hook_factor_small_hooks():
     # h=1: ((1+a)+(1-a)) / ((1+a)-(1-a)) * a = 1
-    assert surd_hook_factor(1) == RatFunc.coerce(1)
+    assert surd_hook_factor(1) == MultiPoly.const(1)
     # h=2: (2 + 2a^2) / (4a) * (a/2) = (1 + a^2)/4
-    assert surd_hook_factor(2) == RatFunc.coerce((ONE + A * A) * Fraction(1, 4))
+    assert surd_hook_factor(2) == (ONE + A * A) * Fraction(1, 4)
 
 
 # ----- falling-factorial hook moments -----------------------------------------------

@@ -167,6 +167,22 @@ def test_gcd_divides_both(a, b, c):
     assert exact_div(g, c.primitive()) is not None
 
 
+def test_gcd_of_known_pairs_is_canonical():
+    # The remainder sequences of these pairs end in a multiple of the gcd
+    # with an integer content or a negative leading coefficient.
+    cases = [
+        ((T + 1) * (T - 2), (T + 1) * (T + 3), T + 1),
+        (6 * (T + 1) ** 2 * (T - 2), 4 * (T + 1) * (T * T + 1), T + 1),
+        ((2 * T - 3) * (T + 5), (2 * T - 3) * (T - 7), 2 * T - 3),
+        ((T * T + T + 1) * (3 * T - 4), (T * T + T + 1) * (2 * T + 9), T * T + T + 1),
+        ((Q**2 - 2) * (T + Q), (Q**2 - 2) * (T - Q), Q**2 - 2),
+        ((T - Q) * (T + 1), (T - Q) * (Q + 2), T - Q),
+    ]
+    for x, y, want in cases:
+        g = poly_gcd(x, y)
+        assert g.prim == want.prim and g.cont == 1
+
+
 univariate_polys = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=5
 ).map(lambda cs: sum((c * T**i for i, c in enumerate(cs)), MultiPoly.const(0)))
@@ -243,41 +259,52 @@ def test_render_readable():
 @settings(deadline=None)
 @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
 def test_ratfunc_equality_is_cross_multiplication(p, q, r, s):
-    assert (RatFunc(p, q) == RatFunc(r, s)) == (p * s == r * q)
+    assert (p / q == r / s) == (p * s == r * q)
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
 def test_ratfunc_field_laws(p, q, r, s):
-    x = RatFunc(p, q)
-    y = RatFunc(r, s)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) - y == x
+    x = p / q
+    y = r / s
+    total, prod = x + y, x * y
+    assert total == y + x
+    assert prod == y * x
+    assert total - y == x
+    results = [total, prod]
     if not y.is_zero():
-        assert (x / y) * y == x
+        results.append(x / y)
+        assert results[-1] * y == x
+    # A gcd test of these results would double the time of this test, since
+    # coprime bivariate gcds are the slow part of poly_gcd; products and
+    # quotients of one quotient take it in
+    # test_a_quotient_is_a_multipoly_exactly_when_division_is_exact.
+    for z in results:
+        assert_canonical_quotient(z, coprime=False)
 
 
 def test_ratfunc_canonical_form():
-    # gcd-reduced, denominator lex-monic, polynomials collapse to den 1
-    r = RatFunc(T * T - 1, T + 1)
-    assert r.is_polynomial() and r.as_poly() == T - 1
-    assert RatFunc(ONE, 2 * Q).den == Q
-    assert RatFunc(T, -Q).num == -T
-    assert RatFunc(T * Q, Q * Q) == RatFunc(T, Q)
+    # gcd-reduced, denominator lex-monic, a quotient that divides out is a MultiPoly
+    r = (T * T - 1) / (T + 1)
+    assert type(r) is MultiPoly and r == T - 1
+    assert (ONE / (2 * Q)).den == Q
+    assert (T / -Q).num == -T
+    assert (T * Q) / (Q * Q) == T / Q
+    # a product cancels each numerator against the other denominator
+    assert (ONE / Q) * (Q / (T + 1)) == ONE / (T + 1) == (Q / (T + 1)) * (ONE / Q)
 
 
 def test_ratfunc_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        RatFunc(ONE, MultiPoly.const(0))
+        ONE / MultiPoly.const(0)
     with pytest.raises(ZeroDivisionError):
-        RatFunc.coerce(1) / RatFunc.coerce(0)
+        (ONE / T) / 0
 
 
 def test_ratfunc_subs_and_render():
-    r = RatFunc(T + Q, T - Q)
-    assert r.subs("q", 0) == RatFunc.coerce(1)
-    assert "/" in RatFunc(ONE, T).render()
+    r = (T + Q) / (T - Q)
+    assert r.subs("q", 0) == MultiPoly.const(1)
+    assert "/" in (ONE / T).render()
 
 
 # ----- (content, primitive) storage against a Fraction-map oracle ------------------
@@ -421,6 +448,21 @@ def agree(p, oracle):
     assert p.terms == oracle.terms
 
 
+def assert_canonical_quotient(x, coprime=True):
+    """x is a canonical MultiPoly, or a RatFunc whose denominator is not
+    constant and has lex-leading coefficient 1, in lowest terms unless the
+    caller vouches for that (the gcd test is the slow part)."""
+    if type(x) is MultiPoly:
+        assert_canonical(x)
+        return
+    assert type(x) is RatFunc
+    assert_canonical(x.num)
+    assert_canonical(x.den)
+    assert not x.den.is_constant() and x.den.lex_leading()[1] == 1
+    if coprime:
+        assert poly_gcd(x.num, x.den) == ONE
+
+
 # Monomials in up to three of all twelve variables, so every slot of a
 # packed key is used, the y-block and the least significant (y6) included.
 term_lists = st.lists(
@@ -495,10 +537,29 @@ def test_operations_match_fraction_map_oracle(ta, tb, c, n, name):
 @settings(deadline=None, max_examples=60)
 @given(small_polys, nonzero_polys)
 def test_ratfunc_parts_are_canonical(p, q):
-    r = RatFunc(p, q)
-    assert_canonical(r.num)
-    assert_canonical(r.den)
-    assert r.den.is_one() or r.den.lex_leading()[1] == 1
+    assert_canonical_quotient(p / q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_polys, nonzero_polys)
+def test_a_quotient_is_a_multipoly_exactly_when_division_is_exact(p, q):
+    x = p / q
+    exact = exact_div(p, q)
+    assert (type(x) is MultiPoly) == (exact is not None)
+    if exact is not None:
+        assert x == exact
+    reduced = [x, x / T, ONE / x] if x else [x]  # each a gcd or a cross-reduction
+    # Coprime when x is: scalar steps keep the factors, powers raise them.
+    derived = [x - 1, 2 - x, x * Fraction(-3, 2), x**2]
+    if type(x) is RatFunc:
+        derived += [x**0, x**-1, x**-2]
+        # subs through a value at which the denominator does not vanish
+        reduced += [x.subs("q", v) for v in (3, T + 1) if x.den.subs("q", v)]
+    for z in reduced:
+        assert_canonical_quotient(z)
+    for z in derived:
+        assert_canonical_quotient(z, coprime=False)
+
 
 
 @given(small_polys, small_polys)
@@ -524,9 +585,15 @@ def test_hash_agrees_with_equality_across_types():
     assert len({MultiPoly.const(3), 3}) == 1
     assert len({MultiPoly.const(Fraction(-2, 3)), Fraction(-2, 3)}) == 1
     assert len({MultiPoly.const(0), 0}) == 1
-    assert RatFunc(T) == T
-    assert len({RatFunc(T), T}) == 1
-    assert len({RatFunc.coerce(Fraction(1, 2)), Fraction(1, 2), MultiPoly.const(Fraction(1, 2))}) == 1
+    assert T / 1 == T
+    assert len({T / ONE, T}) == 1
+    assert len({ONE / 2, Fraction(1, 2), MultiPoly.const(Fraction(1, 2))}) == 1
+    # A RatFunc has a denominator, so it never equals a polynomial or a scalar.
+    for r in (ONE / T, T / (T + 1), (T * T + Q) / (2 * T)):
+        for other in (T, ONE, MultiPoly.const(0), 1, 0, Fraction(1, 2)):
+            assert r != other and other != r
+        assert len({r, T, 1, 0}) == 4
+        assert r == r * 1 and hash(r) == hash(r * 1)
 
 
 def _repeated_product(p, n):
@@ -562,14 +629,13 @@ def test_monomial_power_matches_repeated_product(mono):
     "scalar", [0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2)], ids=str
 )
 def test_ratfunc_times_scalar_matches_coerced_product(scalar):
-    for r in [RatFunc(T + Q, T - 1), RatFunc(T * Fraction(2, 3) - 1), RatFunc(ONE, Q + 2)]:
-        want = r * RatFunc.coerce(scalar)
+    for r in [(T + Q) / (T - 1), (T * Fraction(2, 3) - 1) / (Q * T + 1), ONE / (Q + 2)]:
+        want = r * MultiPoly.const(scalar)
         for got in (r * scalar, scalar * r):
             assert got == want
             assert got.render() == want.render()
-            assert_canonical(got.num)
-            assert_canonical(got.den)
-            assert got.den.is_one() or got.den.lex_leading()[1] == 1
+            assert_canonical_quotient(got)
+            assert type(got) is (RatFunc if scalar else MultiPoly)
 
 
 # ----- packed exponent keys: the boundary and the slot limit ----------------------

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooklab.errors import BadConstantTerm, DivisionByNonUnit
-from hooklab.identities import partition_gf, rr_q_series
+from hooklab.identities import (
+    arm_zero_sum,
+    leg_zero_sum,
+    partition_gf,
+    partition_product_series,
+    rr_q_series,
+    surd_hook_factor,
+)
 from hooklab.multipoly import ONE, MultiPoly, RatFunc, exact_div
 from hooklab.partitions import partition_count, partition_list
 from hooklab.permstats import involution_egf
@@ -53,9 +60,23 @@ def test_uncoercible_operands_are_not_implemented():
     assert (1 - s).coefficient(1).as_fraction() == -2
 
 
+def test_a_scalar_never_equals_a_series():
+    # Equality must agree with hashing and stay transitive, so a series is
+    # not lifted from a scalar, a polynomial or a rational function.
+    one3, one5 = TruncatedSeries.const(1, "x", 3), TruncatedSeries.const(1, "x", 5)
+    q = MultiPoly.var("q")
+    for other in (1, Fraction(1), MultiPoly.const(1), q, ONE / (q + 1)):
+        assert one3 != other and other != one3
+        assert one3.__eq__(other) is NotImplemented
+    assert len({one3, 1}) == 2
+    assert one3 != one5
+    assert one3 == TruncatedSeries("x", 3, [MultiPoly.const(1)])
+    assert len({one3, TruncatedSeries("x", 3, [1, 0])}) == 1
+
+
 def test_ratfunc_defers_to_series_and_rejects_floats():
     s = from_ints([1, 2, 3])
-    r = RatFunc(MultiPoly.var("q") + 1, MultiPoly.var("q") + 2)
+    r = (MultiPoly.var("q") + 1) / (MultiPoly.var("q") + 2)
     assert r.__truediv__(s) is NotImplemented
     assert r.__rtruediv__(0.5) is NotImplemented
     assert r.__rsub__(0.5) is NotImplemented
@@ -97,28 +118,42 @@ def test_floats_are_rejected(build):
 
 
 def test_polynomial_builders_hold_only_multipoly_values():
-    t = MultiPoly.var("t")
+    t, v = MultiPoly.var("t"), MultiPoly.var("v")
     built = {
         "eta_product": eta_product([(1, 0, t + 1), (2, 1, 2, True)], 10),
         "binomial_series": binomial_series(t * t - 1, "x", 8, deg=2),
         "partition_gf": partition_gf(10),
         "involution_egf": involution_egf(8),
+        "arm_zero_sum": TruncatedSeries("x", 9, [arm_zero_sum(n) for n in range(10)]),
+        "leg_zero_sum": TruncatedSeries("x", 9, [leg_zero_sum(n) for n in range(10)]),
+        # X3.2's weight: every denominator is an integer, so it divides out.
+        "partition_product_series": partition_product_series(
+            7, lambda cs, lam: (t + cs.content) * (v + cs.content) * Fraction(1, cs.hook**2)
+        ),
     }
     for kind in ("prop91", "prop92_middle", "prop92_right", "thm95"):
         built[kind] = rr_q_series(kind, 9)
     kinds = {name: {type(c) for c in s.coeffs} for name, s in built.items()}
     assert kinds == {name: {MultiPoly} for name in built}
+    assert [type(surd_hook_factor(h)) for h in range(1, 13)] == [MultiPoly] * 2 + [RatFunc] * 10
 
 
 def test_ratfunc_series_divide_by_one_minus_t():
-    # As in q_eulerian_B_reference: RatFunc coefficients, constant term 1 - t.
+    # As in q_eulerian_B_reference: RatFunc coefficients, constant term 1 - t,
+    # which is no unit of the polynomial ring until both sides are scaled by
+    # 1/(1 - t).
     t, q = MultiPoly.var("t"), MultiPoly.var("q")
-    den = TruncatedSeries("x", 5, [RatFunc(1 - t), RatFunc(t, 1 - q), RatFunc(ONE, 1 - q * q)])
-    num = TruncatedSeries("x", 5, [1, t, RatFunc(q, 1 + t)])
-    quotient = num / den
-    assert quotient.coefficient(0) == RatFunc(ONE, 1 - t)
+    den = TruncatedSeries("x", 5, [1 - t, t / (1 - q), ONE / (1 - q * q)])
+    num = TruncatedSeries("x", 5, [1, t, q / (1 + t)])
+    with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
+        num / den
+    with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
+        num / (1 - t)
+    unit = ONE / (1 - t)
+    quotient = num * unit / (den * unit)
+    assert quotient.coefficient(0) == ONE / (1 - t)
     assert (quotient * den).first_difference(num) is None
-    assert (num / RatFunc(1 - t)).first_difference(num * RatFunc(ONE, 1 - t)) is None
+    assert (num / unit).first_difference(num * (1 - t)) is None
 
 
 def test_geometric_inverts_one_minus_x():
@@ -142,7 +177,7 @@ def test_division_needs_unit_constant_term():
         s / TruncatedSeries("x", ORD, [1 - t, 1])
     with pytest.raises(DivisionByNonUnit, match="not t"):
         s / t
-    for zero in (0, Fraction(0), MultiPoly.const(0), RatFunc(0)):
+    for zero in (0, Fraction(0), MultiPoly.const(0), MultiPoly.const(0) / t):
         with pytest.raises(ZeroDivisionError):
             s / zero
     halved = s / MultiPoly.const(2)
@@ -182,9 +217,9 @@ def test_coefficients_must_not_involve_the_series_variable():
     with pytest.raises(ValueError, match="must not involve z"):
         TruncatedSeries("z", 4, [1, z + 1])
     with pytest.raises(ValueError, match="must not involve z"):
-        TruncatedSeries("z", 4, [1, RatFunc(1, 1 + z)])
-    in_x = TruncatedSeries("x", 4, [1, z, RatFunc(1, 1 + z)])
-    assert in_x.coefficient(1) == RatFunc.coerce(z)
+        TruncatedSeries("z", 4, [1, ONE / (1 + z)])
+    in_x = TruncatedSeries("x", 4, [1, z, ONE / (1 + z)])
+    assert in_x.coefficient(1) == z
 
 
 def test_from_poly_and_coefficient_views():
@@ -193,9 +228,9 @@ def test_from_poly_and_coefficient_views():
     s = TruncatedSeries.from_poly(p, "t", "x", ORD)
     assert s.coefficient(0).as_fraction() == 2
     assert s.coefficient(2).as_fraction() == 3
-    assert s.coefficient(5) == RatFunc.coerce(0)
+    assert s.coefficient(5) == MultiPoly.const(0)
     # coefficient returns the element stored: scalars lifted, the rest as given
-    r = RatFunc(t)
+    r = t / (t + 1)
     given = TruncatedSeries("x", 3, [2, t, r])
     assert given.coefficient(0) == 2 and type(given.coefficient(0)) is MultiPoly
     assert given.coefficient(1) is t and given.coefficient(2) is r
