@@ -31,6 +31,8 @@ coefficient 1.  Every RatFunc operation returns through the same
 normalisation, so a result that reduces to a polynomial comes back as a
 MultiPoly.  Equal values then have equal (content, primitive) pairs, so
 ``==`` is a data comparison, and a RatFunc never equals a polynomial.
+A scalar over a MultiPoly, such as 1 / p, is a quotient too; RatFunc(p, q)
+is no public constructor and raises TypeError.
 """
 
 from __future__ import annotations
@@ -343,6 +345,12 @@ class MultiPoly:
             return NotImplemented
         return _quotient(self, d)
 
+    def __rtruediv__(self, other):
+        d = self._coerce(other)
+        if d is None:
+            return NotImplemented
+        return _quotient(d, self)
+
     def __eq__(self, other):
         p = self._coerce(other)
         if p is None:
@@ -632,6 +640,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 # ----- rational functions ---------------------------------------------------
 
+_CANONICAL = object()  # passed by the builders of a canonical RatFunc
+
 
 class RatFunc:
     """Quotient num/den of MultiPoly values in lowest terms, built by p / q.
@@ -644,9 +654,12 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly):
+    def __init__(self, num: MultiPoly, den: MultiPoly, token=None):
         # Only _coprime_quotient and the sign and scalar paths below build
-        # one, always from a canonical pair.
+        # one, always from a canonical pair; a pair from anywhere else could
+        # be unreduced and then compare and hash apart from its equal value.
+        if token is not _CANONICAL:
+            raise TypeError("RatFunc(num, den) is private: build a quotient with num / den")
         self.num, self.den = num, den
 
     def is_zero(self) -> bool:
@@ -664,7 +677,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self.num, self.den, _CANONICAL)
 
     def __sub__(self, other):
         if _parts(other) is None:
@@ -677,7 +690,7 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # A nonzero scalar keeps the quotient reduced and the denominator.
-            return RatFunc(self.num * other, self.den) if other else ZERO
+            return RatFunc(self.num * other, self.den, _CANONICAL) if other else ZERO
         o = _parts(other)
         if o is None:
             return NotImplemented
@@ -754,7 +767,7 @@ def _coprime_quotient(num: MultiPoly, den: MultiPoly) -> MultiPoly | RatFunc:
     if lead != 1:
         inv = 1 / lead
         num, den = num * inv, den * inv
-    return num if den.is_one() else RatFunc(num, den)
+    return num if den.is_one() else RatFunc(num, den, _CANONICAL)
 
 
 def _product(n1: MultiPoly, d1: MultiPoly, n2: MultiPoly, d2: MultiPoly) -> MultiPoly | RatFunc:

@@ -197,7 +197,7 @@ def q_eulerian_B_reference(n: int) -> MultiPoly:
     e2 = e_scaled(MultiPoly.const(2))
     # The divisor's constant term 1 - t is no unit of the polynomial ring, so
     # scale both sides by 1/(1 - t) to make it 1.
-    unit = ONE / (ONE - _T)
+    unit = 1 / (1 - _T)
     quotient = (e1 - et) * (et + e1 * _T) * unit / ((e2t - e2 * _T) * unit)
     coeff = quotient.coefficient(n) * qpoch_poly(n)
     if not isinstance(coeff, MultiPoly):

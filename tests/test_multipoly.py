@@ -294,6 +294,18 @@ def test_ratfunc_canonical_form():
     assert (ONE / Q) * (Q / (T + 1)) == ONE / (T + 1) == (Q / (T + 1)) * (ONE / Q)
 
 
+def test_scalar_over_polynomial_and_no_public_constructor():
+    assert 1 / T == ONE / T
+    assert Fraction(1, 2) / T == ONE / (2 * T)
+    assert 6 / MultiPoly.const(4) == MultiPoly.const(Fraction(3, 2))
+    assert type(2 / (1 / T)) is MultiPoly
+    # an unreduced pair would compare and hash apart from its equal value
+    with pytest.raises(TypeError, match="num / den"):
+        RatFunc(T * T - 1, T + 1)
+    with pytest.raises(TypeError):
+        RatFunc(T, Q)
+
+
 def test_ratfunc_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / MultiPoly.const(0)

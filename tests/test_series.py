@@ -149,7 +149,7 @@ def test_ratfunc_series_divide_by_one_minus_t():
         num / den
     with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
         num / (1 - t)
-    unit = ONE / (1 - t)
+    unit = 1 / (1 - t)
     quotient = num * unit / (den * unit)
     assert quotient.coefficient(0) == ONE / (1 - t)
     assert (quotient * den).first_difference(num) is None

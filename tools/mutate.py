@@ -5,7 +5,8 @@ exactly once in it, the snippet's replacement and the pytest ids that must
 fail once the replacement is made.  The runner first runs every listed test
 on an unmutated copy of the tree (they must pass), then, one mutant at a
 time, copies the tree to a temporary directory, applies the mutant and runs
-only its tests under a per-mutant timeout.  Each mutant is reported as
+only its tests under a per-mutant timeout of TIMEOUT seconds.  Each
+mutant is reported as
 
     killed     the listed tests did not pass
     survived   every listed test passed
@@ -19,13 +20,11 @@ fails, or cannot collect a listed test, nothing else runs.  The exit
 status is 0 only when every mutant is killed.  Standard library only; run
 from any directory:
 
-    python tools/mutate.py                # the whole catalogue
-    python tools/mutate.py ID [ID ...]    # some entries
+    python tools/mutate.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CATALOGUE = ROOT / "tools" / "mutants.json"
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 300  # seconds per mutant; the unmutated run gets twice this
 
 
 def copy_tree(dest: Path) -> None:
@@ -75,41 +75,32 @@ def apply(tree: Path, mutant: dict) -> str | None:
     return None
 
 
-def verdict(mutant: dict, timeout: float) -> tuple[str, str]:
+def verdict(mutant: dict) -> tuple[str, str]:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)
         stale = apply(tree, mutant)
         if stale:
             return "stale", stale
-        status = run_tests(tree, mutant["tests"], timeout)
+        status = run_tests(tree, mutant["tests"], TIMEOUT)
     if status is None:
-        return "timed out", f"past {timeout:g} s"
+        return "timed out", f"past {TIMEOUT} s"
     if status == 0:
         return "survived", "every listed test passed"
     return "killed", f"pytest exit status {status}" if status != 1 else ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="catalogue entries to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     catalogue = json.loads(CATALOGUE.read_text())
-    known = {m["id"] for m in catalogue}
-    if len(known) != len(catalogue):
-        parser.error("duplicate ids in the catalogue")
-    unknown = sorted(set(args.ids) - known)
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(unknown)}")
-    chosen = [m for m in catalogue if not args.ids or m["id"] in args.ids]
+    if len({m["id"] for m in catalogue}) != len(catalogue):
+        print("duplicate ids in the catalogue")
+        return 1
 
     start = time.monotonic()
-    tests = sorted({t for m in chosen for t in m["tests"]})
+    tests = sorted({t for m in catalogue for t in m["tests"]})
     with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as tmp:
         copy_tree(Path(tmp))
-        status = run_tests(Path(tmp), tests, args.timeout * 2)
+        status = run_tests(Path(tmp), tests, TIMEOUT * 2)
     if status != 0:
         print(
             f"the listed tests do not pass unmutated (pytest exit status {status});"
@@ -119,15 +110,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(tests)} listed tests pass unmutated in {time.monotonic() - start:.0f} s")
 
     counts: dict[str, int] = {}
-    for mutant in chosen:
+    for mutant in catalogue:
         t0 = time.monotonic()
-        outcome, why = verdict(mutant, args.timeout)
+        outcome, why = verdict(mutant)
         counts[outcome] = counts.get(outcome, 0) + 1
         line = f"{outcome:<10} {mutant['id']:<40} {time.monotonic() - t0:6.1f} s"
         print(f"{line}  {why}" if why else line, flush=True)
     summary = ", ".join(f"{n} {outcome}" for outcome, n in sorted(counts.items()))
-    print(f"{len(chosen)} mutants: {summary} in {time.monotonic() - start:.0f} s")
-    return 0 if counts.get("killed", 0) == len(chosen) else 1
+    print(f"{len(catalogue)} mutants: {summary} in {time.monotonic() - start:.0f} s")
+    return 0 if counts.get("killed", 0) == len(catalogue) else 1
 
 
 if __name__ == "__main__":
