@@ -47,7 +47,6 @@ from .series import (
     eta_product,
     gaussian_binomial,
     geometric,
-    pochhammer,
 )
 from .sturm import SturmReport, sturm_analysis, unimodal
 
@@ -89,7 +88,6 @@ __all__ = [
     "partition_count",
     "partition_list",
     "partitions_of",
-    "pochhammer",
     "registry",
     "rr_sets",
     "run_all",

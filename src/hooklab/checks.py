@@ -29,6 +29,8 @@ from .permstats import (
     bell_number,
     bell_poly,
     egf_cycle_statistic,
+    eulerian_A,
+    eulerian_B,
     eulerian_coeff_A,
     eulerian_coeff_B,
     involution_count,
@@ -143,22 +145,40 @@ def _run_L11(bounds):
     return _ok()
 
 
+def _L12_sides(a: int, b: int) -> tuple[int, int, int, int]:
+    """The signed-count side with its k=0 term, the doubled side without its
+    k=0 term, and the two k=0 terms."""
+    m = a + b
+    with_k0 = sum(_comb(m, k) * eulerian_coeff_B(k, b) for k in range(0, m + 1))
+    doubled = sum(
+        _comb(m, k) * 2 ** k * eulerian_coeff_A(k, a - 1) for k in range(1, m + 1)
+    )
+    return with_k0, doubled, eulerian_coeff_B(0, b), eulerian_coeff_A(0, a - 1)
+
+
 def _run_L12(bounds):
     top = bounds["max_ab"]
     for a in range(1, top):
         for b in range(0, top - a + 1):
-            m = a + b
-            with_k0 = sum(
-                _comb(m, k) * eulerian_coeff_B(k, b) for k in range(0, m + 1)
-            )
-            doubled = sum(
-                _comb(m, k) * 2 ** k * eulerian_coeff_A(k, a - 1)
-                for k in range(1, m + 1)
-            )
+            with_k0, doubled, signed0, doubled0 = _L12_sides(a, b)
             if with_k0 != doubled:
                 return _bad(f"a={a}, b={b}: {with_k0} vs {doubled}")
-            if b >= 1 and with_k0 - (1 if b == 0 else 0) != doubled:
-                return _bad(f"a={a}, b={b} under k>=1 on both sides")
+            if (with_k0 - signed0 == doubled) != (b >= 1):
+                return _bad(
+                    f"a={a}, b={b}: k>=1 on both sides gives {with_k0 - signed0} vs "
+                    f"{doubled}, against 'holds exactly when b>=1'"
+                )
+            if (with_k0 == doubled + doubled0) != (a != 1):
+                return _bad(
+                    f"a={a}, b={b}: k=0 kept on both sides gives {with_k0} vs "
+                    f"{doubled + doubled0}, against 'a=1 breaks'"
+                )
+    with_k0, doubled, signed0, _ = _L12_sides(2, 0)
+    if (with_k0 - signed0, doubled) != (3, 4):
+        return _bad(
+            f"a=2, b=0: k>=1 on both sides gives {with_k0 - signed0} vs {doubled}, "
+            "not 3 vs 4"
+        )
     return _ok(
         "holds with the k=0 term kept on the signed-count side and dropped on the "
         "doubled side; with k>=1 on both sides it holds exactly when b>=1 (first "
@@ -177,21 +197,15 @@ def _run_L13(bounds):
                 * t ** (j - 1)
                 * (MultiPoly.const(1) - t) ** (k - j)
             )
-        lhs = MultiPoly.const(0)
-        for m in range(k):
-            lhs = lhs + eulerian_coeff_A(k, m) * t ** m
-        if lhs != rhs:
-            return _bad(f"k={k}: {lhs.render()} vs {rhs.render()}")
+        if eulerian_A(k) != rhs:
+            return _bad(f"k={k}: {eulerian_A(k).render()} vs {rhs.render()}")
     return _ok()
 
 
 def _run_D15(bounds):
     for n in range(1, bounds["max_n"] + 1):
         bq = q_eulerian_B(n)  # NonPolynomialResult would be an engine bug
-        classical = MultiPoly.const(0)
-        for k in range(n + 1):
-            classical = classical + eulerian_coeff_B(n, k) * _T ** k
-        if bq.subs("q", 1) != classical:
+        if bq.subs("q", 1) != eulerian_B(n):
             return _bad(f"n={n}: q=1 specialization differs")
     for n in range(1, bounds["max_ref"] + 1):
         if q_eulerian_B_reference(n) != q_eulerian_B(n):
@@ -305,9 +319,12 @@ def _run_P22(bounds):
         (n for n in range(top + 1) if printed.coefficient(n).as_fraction() != maxima[n]),
         None,
     )
+    if first_off is None:
+        return _ok(f"both forms match the maxima for every n <= {top}")
     return _ok(
         "the triangular-number block times x/(1-x) overcounts by the empty "
-        f"staircase (first mismatch at n={first_off}: coefficient 2 vs maximum 1); "
+        f"staircase (first mismatch at n={first_off}: coefficient "
+        f"{printed.coefficient(first_off).render()} vs maximum {maxima[first_off]}); "
         "removing the block's constant term before the geometric factor matches "
         f"the maxima for every n <= {top}"
     )
@@ -426,7 +443,7 @@ def _run_C41(bounds):
                 for n in range(top + 1)
             ],
         )
-        rhs = TruncatedSeries.from_poly(bell_poly(k), "z", "z", top) * involution_egf(top)
+        rhs = TruncatedSeries("z", top, bell_poly(k).dense_coeffs("z")) * involution_egf(top)
         w = _series_mismatch(lhs, rhs)
         if w:
             return _bad(f"k={k}, {w}")

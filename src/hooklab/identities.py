@@ -6,6 +6,11 @@ denominator that does not divide out), or single rational numbers for the
 finite identities.  Partition sums always iterate in the reverse-lexicographic
 enumeration order so that any coefficient can be traced back to the
 partitions that produced it.
+
+Right-hand sides are built from their definitions: the Lambert-type sums
+sum_k c_k x^k / (1 - r x^k) as divisor sums (_lambert_rhs), the
+Rogers-Ramanujan-type denominators from the one product (c x; x)_k
+(_qpoch), and q-counts over partitions in one pass (_q_count).
 """
 
 from __future__ import annotations
@@ -27,13 +32,7 @@ from .partitions import (
     cell_stats,
     partition_list,
 )
-from .series import (
-    TruncatedSeries,
-    eta_product,
-    gaussian_binomial,
-    geometric,
-    pochhammer,
-)
+from .series import TruncatedSeries, eta_product, gaussian_binomial, geometric
 
 CellWeight = Callable[[CellStats, Partition], object]
 
@@ -255,12 +254,15 @@ def unit_hook_series(order: int, corrected: bool = False) -> TruncatedSeries:
 # ----- squares statistics --------------------------------------------------------
 
 
+def _q_count(exponents) -> MultiPoly:
+    """sum of q^e over the exponents, counted in one pass."""
+    counts = Counter(exponents)
+    return MultiPoly.from_dense([counts[e] for e in range(max(counts, default=-1) + 1)], "q")
+
+
 def squares_polynomial(n: int) -> MultiPoly:
     """F_n(q) = sum over lambda |- n of q^(squares count)."""
-    total = MultiPoly.const(0)
-    for lam in partition_list(n):
-        total = total + MultiPoly.monomial({"q": lam.squares_count()})
-    return total
+    return _q_count(lam.squares_count() for lam in partition_list(n))
 
 
 def squares_total(n: int) -> int:
@@ -290,22 +292,22 @@ def top_hook_series(order: int, gap2_only: bool = False) -> TruncatedSeries:
     """
     coeffs = [ZERO if gap2_only else ONE]
     for n in range(1, order + 1):
-        total = MultiPoly.const(0)
-        for lam in partition_list(n):
-            ps = lam.parts
-            if gap2_only and any(ps[i] - ps[i + 1] < 2 for i in range(len(ps) - 1)):
-                continue
-            total = total + MultiPoly.monomial({"q": ps[0] + len(ps) - 1})
-        coeffs.append(total)
+        coeffs.append(_q_count(
+            lam.parts[0] + len(lam.parts) - 1
+            for lam in partition_list(n)
+            if not gap2_only or all(a - b >= 2 for a, b in zip(lam.parts, lam.parts[1:]))
+        ))
     return TruncatedSeries("x", order, coeffs)
 
 
-def _qpoch_xq_series(k: int, order: int) -> TruncatedSeries:
-    # (qx; x)_k = prod_{j=1..k} (1 - q x^j)
-    q = MultiPoly.var("q")
-    a = TruncatedSeries.monomial("x", order, 1, q)
-    step = TruncatedSeries.monomial("x", order, 1)
-    return pochhammer(a, step, k, order)
+def _qpoch(coeff, k: int, order: int) -> TruncatedSeries:
+    """(coeff x; x)_k = prod_{j=1..k} (1 - coeff x^j); factors of degree past
+    the order are 1 at this truncation."""
+    one = TruncatedSeries.const(1, "x", order)
+    result = one
+    for j in range(1, min(k, order) + 1):
+        result = (one - TruncatedSeries.monomial("x", order, j, coeff)) * result
+    return result
 
 
 def rr_q_series(kind: str, order: int) -> TruncatedSeries:
@@ -325,7 +327,7 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
         k = 1
         while k * k <= order:
             num = TruncatedSeries.monomial("x", order, k * k, q ** (3 * k - 2))
-            total = total + num / _qpoch_xq_series(k, order)
+            total = total + num / _qpoch(q, k, order)
             k += 1
         return total
     if kind == "prop92_middle":
@@ -333,7 +335,7 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
         k = 0
         while k * (k + 1) <= order:
             num = TruncatedSeries.monomial("x", order, k * (k + 1), q ** (2 * k))
-            den = _qpoch_xq_series(k, order) * _qpoch_xq_series(k + 1, order)
+            den = _qpoch(q, k, order) * _qpoch(q, k + 1, order)
             total = total + num / den
             k += 1
         return total
@@ -374,8 +376,7 @@ def rr_count_series(order: int) -> TruncatedSeries:
     k = 1
     while k * k <= order:
         num = TruncatedSeries.monomial("x", order, k * k)
-        a = TruncatedSeries.monomial("x", order, 1)
-        total = total + num / pochhammer(a, a, k, order)
+        total = total + num / _qpoch(1, k, order)
         k += 1
     return total
 
@@ -388,13 +389,22 @@ def rr_product_series(order: int) -> TruncatedSeries:
 # ----- additive hook/part sums (quantum variants) --------------------------------
 
 
+def _lambert_rhs(order: int, term: Callable) -> TruncatedSeries:
+    """partition_gf(order) * sum_{k, m >= 1} term(k, m) x^(k m).
+
+    Each Lambert-type sum below, sum_k c_k x^k / (1 - r x^k) and its square,
+    expands to a divisor sum: x^n collects term(k, m) over n = k m.
+    """
+    tail = [ZERO] * (order + 1)
+    for k in range(1, order + 1):
+        for m in range(1, order // k + 1):
+            tail[k * m] = tail[k * m] + term(k, m)
+    return partition_gf(order) * TruncatedSeries("x", order, tail)
+
+
 def power_sum_rhs_series(order: int, alpha: int) -> TruncatedSeries:
     """prod 1/(1-x^m) * sum_k k^(alpha+1) x^k/(1-x^k)."""
-    tail = TruncatedSeries.zero("x", order)
-    for k in range(1, order + 1):
-        mono = TruncatedSeries.monomial("x", order, k, k ** (alpha + 1))
-        tail = tail + mono * geometric("x", order, deg=k)
-    return partition_gf(order) * tail
+    return _lambert_rhs(order, lambda k, m: k ** (alpha + 1))
 
 
 def marked_power_rhs_series(order: int, alpha: int, weighted: bool) -> TruncatedSeries:
@@ -403,34 +413,19 @@ def marked_power_rhs_series(order: int, alpha: int, weighted: bool) -> Truncated
     The weighted form pairs with the hook sum, the unweighted with the part
     sum; differentiating in q at q=1 recovers the plain power sums.
     """
-    qv = MultiPoly.var("q")
-    tail = TruncatedSeries.zero("x", order)
-    for k in range(1, order + 1):
-        c = qv ** (k**alpha) * (k if weighted else 1)
-        tail = tail + TruncatedSeries.monomial("x", order, k, c) * geometric(
-            "x", order, deg=k
-        )
-    return partition_gf(order) * tail
+    q = MultiPoly.var("q")
+    return _lambert_rhs(order, lambda k, m: q ** (k**alpha) * (k if weighted else 1))
 
 
 def part_marker_rhs_series(order: int) -> TruncatedSeries:
     """prod 1/(1-x^m) * sum_k q x^k/(1 - q x^k); marks one part value per term."""
-    qv = MultiPoly.var("q")
-    tail = TruncatedSeries.zero("x", order)
-    for k in range(1, order + 1):
-        tail = tail + TruncatedSeries.monomial("x", order, k, qv) * geometric(
-            "x", order, deg=k, coeff=qv
-        )
-    return partition_gf(order) * tail
+    q = MultiPoly.var("q")
+    return _lambert_rhs(order, lambda k, m: q**m)
 
 
 def part_count_rhs_series(order: int) -> TruncatedSeries:
     """prod 1/(1-x^m) * sum_k x^k/(1-x^k)^2; total part size marker."""
-    tail = TruncatedSeries.zero("x", order)
-    for k in range(1, order + 1):
-        geo = geometric("x", order, deg=k)
-        tail = tail + TruncatedSeries.monomial("x", order, k) * geo * geo
-    return partition_gf(order) * tail
+    return _lambert_rhs(order, lambda k, m: m)
 
 
 # ----- surd-quotient hook factor (involution series) ------------------------------

@@ -14,6 +14,12 @@ by integers (exp, log) or by a unit of the coefficient ring (div: a nonzero
 constant or RatFunc).  That is what makes binomial-type products
 (1 - x^k)^(-E) come out with coefficients polynomial in the exponent's
 variables, which several checks rely on.
+
+The named builders below are general: geometric and log(1 - c x^d)
+expansions, binomial series, eta products, and (q; q)_n and Gaussian
+binomials as polynomials.  A series that serves one family of identities,
+such as the product (c x; x)_k of the Rogers-Ramanujan-type sums, is
+built next to those identities in identities.py.
 """
 
 from __future__ import annotations
@@ -74,15 +80,6 @@ class TruncatedSeries:
         c = _element(coeff)
         if deg <= order:
             coeffs[deg] = c
-        return TruncatedSeries(var, order, coeffs)
-
-    @staticmethod
-    def from_poly(p: MultiPoly, name: str, var: str, order: int) -> TruncatedSeries:
-        """Reinterpret a univariate polynomial in `name` as a series in `var`."""
-        coeffs = [ZERO] * (order + 1)
-        for deg, c in p.as_univariate(name).items():
-            if deg <= order:
-                coeffs[deg] = c
         return TruncatedSeries(var, order, coeffs)
 
     # ----- access ---------------------------------------------------------
@@ -318,38 +315,6 @@ def binomial_series(exponent, var: str, order: int, deg: int = 1):
     """
     e = _element(exponent)
     return (log_one_minus(var, order, deg) * (-e)).exp()
-
-
-def pochhammer(a: TruncatedSeries, q: TruncatedSeries, n: int, order: int):
-    """Truncated q-Pochhammer (a; q)_n = prod_{j<n} (1 - a*q^j).
-
-    `a` and `q` must be monomial series in the same variable.  Factors whose
-    degree exceeds the order are dropped, which is exact at this truncation.
-    """
-    a._check_compatible(q)
-    var = a.var
-
-    def mono(s: TruncatedSeries) -> tuple[int, MultiPoly | RatFunc]:
-        nz = [(d, c) for d, c in enumerate(s.coeffs) if not c.is_zero()]
-        if len(nz) != 1:
-            raise ValueError("pochhammer arguments must be monomial series")
-        return nz[0]
-
-    a_deg, a_coeff = mono(a)
-    q_deg, q_coeff = mono(q)
-    result = TruncatedSeries.const(1, var, order)
-    j = 0
-    fac_coeff = a_coeff
-    fac_deg = a_deg
-    while j < n and fac_deg <= order:
-        factor = TruncatedSeries.const(1, var, order) - TruncatedSeries.monomial(
-            var, order, fac_deg, fac_coeff
-        )
-        result = result * factor
-        j += 1
-        fac_deg += q_deg
-        fac_coeff = fac_coeff * q_coeff
-    return result
 
 
 # ----- q-polynomials ----------------------------------------------------------

@@ -133,6 +133,19 @@ def test_bound_override_merging():
             assert base.bounds_used[k] == v
 
 
+def test_finding_notes_state_the_values_compared():
+    p22 = run_check("P2.2", {"max_n": 30})
+    assert "(first mismatch at n=2: coefficient 2 vs maximum 1)" in p22.notes
+    # below n = 2 the two forms agree, and the note says so
+    assert run_check("P2.2", {"max_n": 1}).notes == (
+        "both forms match the maxima for every n <= 1"
+    )
+    # L1.2 verifies both summation-convention claims of its note
+    l12 = run_check("L1.2", {"max_ab": 10})
+    assert l12.status == "verified"
+    assert "(first failure a=2, b=0: 3 vs 4)" in l12.notes
+
+
 def test_override_changes_verdict():
     # the real-rootedness conjecture holds up to 9 and fails at 10
     assert run_check("C2.2a", {"max_n": 9}).status == "verified"

@@ -24,12 +24,15 @@ from hooklab.identities import (
     leg_zero_sum,
     linear_product_series,
     linear_product_sum,
+    marked_power_rhs_series,
     max_unit_hooks,
     multiplicity_binomial_sum,
     partition_additive_series,
     partition_gf,
     partition_product_series,
     partition_product_sum,
+    part_count_rhs_series,
+    part_marker_rhs_series,
     power_sum_rhs_series,
     power_traces,
     rr_count_series,
@@ -591,12 +594,21 @@ def test_additive_series_parts_vs_cells():
 
 
 def test_power_sum_series_against_direct_sums():
-    for alpha in range(3):
-        rhs = power_sum_rhs_series(10, alpha)
-        direct = partition_additive_series(
-            10, lambda cs, lam: Fraction(cs.hook**alpha), mode="cells"
-        )
-        assert rhs.first_difference(direct) is None
+    # each right-hand side against the partition sum that C8.1 or P8.2 compares
+    cases = [(part_count_rhs_series(10), lambda p, lam: p, "parts"),
+             (part_marker_rhs_series(10), lambda p, lam: Q**p, "parts")]
+    for alpha in range(4):
+        cases += [
+            (power_sum_rhs_series(10, alpha),
+             lambda cs, lam, a=alpha: Fraction(cs.hook**a), "cells"),
+            (marked_power_rhs_series(10, alpha, weighted=True),
+             lambda cs, lam, a=alpha: Q ** (cs.hook**a), "cells"),
+            (marked_power_rhs_series(10, alpha, weighted=False),
+             lambda p, lam, a=alpha: Q ** (p**a), "parts"),
+        ]
+    for rhs, summand, mode in cases:
+        direct = partition_additive_series(10, summand, mode=mode)
+        assert rhs.first_difference(direct) is None, (mode, rhs)
 
 
 # ----- involution census -----------------------------------------------------------

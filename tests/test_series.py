@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hooklab.errors import BadConstantTerm, DivisionByNonUnit
 from hooklab.identities import (
+    _qpoch,
     arm_zero_sum,
     leg_zero_sum,
     partition_gf,
@@ -27,7 +28,6 @@ from hooklab.series import (
     gaussian_binomial,
     geometric,
     log_one_minus,
-    pochhammer,
     qpoch_poly,
 )
 
@@ -222,10 +222,10 @@ def test_coefficients_must_not_involve_the_series_variable():
     assert in_x.coefficient(1) == z
 
 
-def test_from_poly_and_coefficient_views():
+def test_dense_coefficients_and_coefficient_views():
     t = MultiPoly.var("t")
     p = 3 * t**2 + t + 2
-    s = TruncatedSeries.from_poly(p, "t", "x", ORD)
+    s = TruncatedSeries("x", ORD, p.dense_coeffs("t"))
     assert s.coefficient(0).as_fraction() == 2
     assert s.coefficient(2).as_fraction() == 3
     assert s.coefficient(5) == MultiPoly.const(0)
@@ -335,15 +335,20 @@ def test_qpoch_recurrence():
         assert qpoch_poly(n + 1) == qpoch_poly(n) * (1 - q ** (n + 1))
 
 
-def test_pochhammer_finite_product():
-    q = TruncatedSeries.monomial("x", 10, 1)
-    a = TruncatedSeries.monomial("x", 10, 1)
+def test_qpoch_finite_product():
     # (x; x)_3 = (1-x)(1-x^2)(1-x^3)
-    lhs = pochhammer(a, q, 3, 10)
     rhs = from_ints([1, -1], 10) * from_ints([1, 0, -1], 10) * from_ints(
         [1, 0, 0, -1], 10
     )
-    assert lhs.first_difference(rhs) is None
+    assert _qpoch(1, 3, 10).first_difference(rhs) is None
+    assert _qpoch(1, 0, 10) == TruncatedSeries.const(1, "x", 10)
+    # (qx; x)_2 = (1 - qx)(1 - qx^2) = 1 - qx - qx^2 + q^2 x^3
+    q = MultiPoly.var("q")
+    assert _qpoch(q, 2, 5) == TruncatedSeries("x", 5, [1, -q, -q, q**2])
+    # past the order the factors are 1: (x; x)_9 at order 4 is (x; x)_4 there
+    full = TruncatedSeries("x", 4, [1, -1, -1, 0, 0])  # Euler: 1 - x - x^2 + x^5 + ...
+    assert _qpoch(1, 9, 4) == full == _qpoch(1, 4, 4)
+    assert _qpoch(q, 7, 3) == TruncatedSeries("x", 3, [1, -q, -q, q**2 - q])
 
 
 def test_eta_product_with_offset_and_plus_sign():
