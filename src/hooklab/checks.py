@@ -10,6 +10,7 @@ spelled out in the notes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -364,9 +365,9 @@ def _run_L31(bounds):
 
 def _run_X32(bounds):
     order = bounds["order"]
-    prod = partition_product_series(
-        order, lambda cs, lam: (_T + cs.content) * (_V + cs.content) * Fraction(1, cs.hook ** 2)
-    )
+    # One object per (content, hook), so partition_product_sum shares products.
+    table = functools.cache(lambda c, h: (_T + c) * (_V + c) * Fraction(1, h**2))
+    prod = partition_product_series(order, lambda cs, lam: table(cs.content, cs.hook))
     closed = binomial_series(_T * _V, "x", order)
     egf = egf_cycle_statistic(order, lambda lam: (_T * _V) ** len(lam))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)

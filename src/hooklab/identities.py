@@ -20,6 +20,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
@@ -40,24 +41,56 @@ CellWeight = Callable[[CellStats, Partition], object]
 # ----- partition-indexed series -------------------------------------------------
 
 
+def _prefix_products(keys, start, step):
+    """Yield (key, product) for each key, where product folds step over the
+    key's entries from start; a key is a tuple of sortable entries read as
+    a multiset, and each product is yielded once per key given.
+
+    Every key is read with its entries in one order, the most frequent
+    across all keys first (ties by value), and the keys so read are walked
+    in sorted order.  Keys that share a prefix are then adjacent, so a stack
+    holds the products of the previous key's prefixes and each key extends
+    the one for the longest prefix it shares: every distinct nonempty prefix
+    costs one step.  The products depend on neither the order of the keys
+    nor that of their entries; only the work does.
+    """
+    keys = list(keys)
+    freq = Counter(chain.from_iterable(keys))
+    order = sorted(freq, key=lambda v: (-freq[v], v))
+    rank = {v: r for r, v in enumerate(order)}
+    stack, prev = [start], ()
+    for ranks, key in sorted((tuple(sorted(map(rank.__getitem__, k))), k) for k in keys):
+        common, limit = 0, min(len(prev), len(ranks))
+        while common < limit and prev[common] == ranks[common]:
+            common += 1
+        del stack[common + 1 :]
+        for r in ranks[common:]:
+            stack.append(step(stack[-1], order[r]))
+        prev = ranks
+        yield key, stack[-1]
+
+
 def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     """sum over lambda |- n of the product of weight(u) over the cells of lambda.
 
     Integer and Fraction weights multiply one scalar per partition.  Every
     other weight is a MultiPoly or RatFunc object (a float or other inexact
     weight raises TypeError), and partitions are grouped by the multiset of
-    these objects, by identity: the product of each distinct multiset is
-    built once and scaled by the sum of its partitions' scalars.  So a weight
-    that returns one shared object per value (a table or a memoised function)
-    is multiplied once per distinct multiset; fresh objects give the same sum
-    but no sharing.  Products with equal denominators are added first, then
-    each such class is brought over prod f^(largest multiplicity) of the
-    denominator factors f, and only the final quotient is reduced: the
-    result is a MultiPoly when the denominators divide out, else a RatFunc.
+    these objects, by identity (numbered in order of first appearance), with
+    their scalars summed.  Multisets whose scalars sum to 0 are skipped; the
+    others are walked with _prefix_products, so each product of numerators
+    extends the one for a prefix it shares with another multiset.  A weight
+    that returns one shared object per value (a table or a memoised
+    function) gets this sharing; fresh objects give the same sum but share
+    nothing.  Products with equal denominators are added first.  Each such
+    class is then brought over prod f^(largest multiplicity) of the
+    denominator factors f by the product of the factors it lacks, walked the
+    same way, and only the final quotient is reduced: the result is a
+    MultiPoly when the denominators divide out, else a RatFunc.
     """
-    objects, groups = {}, {}  # objects keeps every id distinct for the call
+    index, objects, groups = {}, [], {}  # objects keeps every id distinct for the call
     for lam in partition_list(n):
-        scale, ids = 1, []
+        scale, key = 1, []
         for cs in cell_stats(lam):
             try:
                 w = weight(cs, lam)
@@ -65,42 +98,40 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
                 raise WeightEvaluationError(
                     f"weight undefined: {exc}", partition=lam, cell=(cs.i, cs.j)
                 ) from exc
-            if isinstance(w, (int, Fraction)):
+            # MultiPoly first: a miss on Fraction goes through its slow ABC check.
+            if isinstance(w, (MultiPoly, RatFunc)):
+                i = index.get(id(w))
+                if i is None:
+                    i = index[id(w)] = len(objects)
+                    objects.append(w)
+                key.append(i)
+            elif isinstance(w, (int, Fraction)):
                 scale *= w
-            elif isinstance(w, (MultiPoly, RatFunc)):
-                objects[id(w)] = w
-                ids.append(id(w))
             else:
                 raise TypeError(f"cannot use {type(w).__name__} as an exact cell weight")
-        key = tuple(sorted(ids))
+        key = tuple(sorted(key))
         groups[key] = groups.get(key, 0) + scale
-    parts, dens = {}, {}  # id -> (numerator, denominator index); den -> index
-    for i, w in objects.items():
+    nums, den_of, dens = [], [], {}  # per object: numerator, denominator index; den -> index
+    for w in objects:
         if isinstance(w, MultiPoly):
-            parts[i] = w, None
+            nums.append(w)
+            den_of.append(None)
         else:
-            parts[i] = w.num, dens.setdefault(w.den, len(dens))
+            nums.append(w.num)
+            den_of.append(dens.setdefault(w.den, len(dens)))
     classes = {}  # sorted denominator indices -> summed numerators
-    for key, scale in groups.items():
-        if not scale:
-            continue
-        num, ds = ONE, []
-        for i in key:
-            p, d = parts[i]
-            num = num * p
-            if d is not None:
-                ds.append(d)
-        ds = tuple(sorted(ds))
-        classes[ds] = classes.get(ds, ZERO) + num * scale
+    live = [key for key, scale in groups.items() if scale]
+    for key, num in _prefix_products(live, ONE, lambda p, i: p * nums[i]):
+        ds = tuple(sorted(den_of[i] for i in key if den_of[i] is not None))
+        classes[ds] = classes.get(ds, ZERO) + num * groups[key]
     den = Counter()
     for ds in classes:
         den |= Counter(ds)
     polys = list(dens)
+    lacking = {tuple(sorted((den - Counter(ds)).elements())): ds for ds in classes}
     total = ZERO
-    for ds, num in classes.items():
-        for d, k in (den - Counter(ds)).items():
-            num = num * polys[d] ** k
-        total = total + num
+    for rest, factor in _prefix_products(lacking, ONE, lambda p, d: p * polys[d]):
+        total = total + classes[lacking[rest]] * factor
     return total / math.prod((polys[d] ** m for d, m in den.items()), start=ONE)
 
 
@@ -117,13 +148,24 @@ def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
     factors(lambda) returns (shifts, w): a sequence of integer shifts and an
     int or Fraction weight w; no shifts give the constant w.  The sum runs in
     integer coefficient lists over the lcm of the weights' denominators.
+    Partitions with the same sorted shifts (lambda and its conjugate share
+    a hook multiset) add their weights first; shift tuples whose weights sum
+    to 0 are skipped, and the rest are walked with _prefix_products, so each
+    product extends the one for the longest prefix it shares with the tuple
+    before it by one dense_linear_product step per shift that differs.
     """
     terms = [factors(lam) for lam in partition_list(n)]
     den = math.lcm(*(w.denominator for _, w in terms))
-    total = [0] * (1 + max(len(shifts) for shifts, _ in terms))
+    groups = {}  # sorted shifts -> summed weight times den
     for shifts, w in terms:
         scale = w.numerator * (den // w.denominator)
-        for d, c in enumerate(dense_linear_product(shifts)):
+        key = tuple(sorted(shifts))
+        groups[key] = groups.get(key, 0) + scale
+    total = [0] * (1 + max(map(len, groups)))
+    live = [key for key, scale in groups.items() if scale]
+    for key, coeffs in _prefix_products(live, [1], dense_linear_product):
+        scale = groups[key]
+        for d, c in enumerate(coeffs):
             total[d] += scale * c
     return MultiPoly.from_dense(total, "t") * Fraction(1, den)
 
@@ -156,12 +198,12 @@ def partition_additive_series(
         for lam in partition_list(n):
             for item in cell_stats(lam) if mode == "cells" else lam.parts:
                 s = summand(item, lam)
-                if isinstance(s, (int, Fraction)):
-                    terms[0] = terms.get(0, 0) + s  # 0 packs the constant monomial
-                elif isinstance(s, MultiPoly):
+                if isinstance(s, MultiPoly):  # first: a miss on Fraction is a slow ABC check
                     cont = s.cont
                     for exp, c in s.prim.items():
                         terms[exp] = terms.get(exp, 0) + (c if cont == 1 else cont * c)
+                elif isinstance(s, (int, Fraction)):
+                    terms[0] = terms.get(0, 0) + s  # 0 packs the constant monomial
                 else:
                     rest = rest + s
         coeffs.append(from_packed(terms) + rest)

@@ -135,12 +135,10 @@ def dense_prem(a: list, b: list) -> list:
     return a
 
 
-def dense_linear_product(shifts: Iterable[int]) -> list[int]:
-    """Integer coefficients (degree 0 upward) of prod (t + r) over the shifts r."""
-    out = [1]
-    for r in shifts:
-        out = [r * c + lower for c, lower in zip(out + [0], [0] + out)]
-    return out
+def dense_linear_product(coeffs: list[int], r: int) -> list[int]:
+    """(t + r) times the polynomial with integer coefficients coeffs, both
+    listed from degree 0 upward."""
+    return [r * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
 
 
 class MultiPoly:
@@ -277,15 +275,16 @@ class MultiPoly:
         return p + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # MultiPoly first: a miss on Fraction goes through its slow ABC check.
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             # A scalar only rescales the content (and flips signs if negative).
             if not other or not self.prim:
                 return ZERO
             if other > 0:
                 return _raw(self.prim, self.cont * other)
             return _raw(_negated(self.prim), self.cont * -other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         a, b = self.prim, other.prim
         if not a or not b:
             return ZERO

@@ -226,12 +226,13 @@ class CellStats(NamedTuple):
 
 def cell_stats(part: Partition) -> list[CellStats]:
     conj = part.conjugate().parts
+    new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
     out = []
     for i, p in enumerate(part.parts, start=1):
         for j in range(1, p + 1):
             arm = p - j
             leg = conj[j - 1] - i
-            out.append(CellStats(i, j, arm, leg, arm + leg + 1, j - i))
+            out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
     return out
 
 

@@ -15,8 +15,8 @@ constant or RatFunc).  That is what makes binomial-type products
 (1 - x^k)^(-E) come out with coefficients polynomial in the exponent's
 variables, which several checks rely on.
 
-The named builders below are general: geometric and log(1 - c x^d)
-expansions, binomial series, eta products, and (q; q)_n and Gaussian
+The named builders below are general: the geometric series 1/(1 - x),
+log(1 - c x^d), binomial series, eta products, and (q; q)_n and Gaussian
 binomials as polynomials.  A series that serves one family of identities,
 such as the product (c x; x)_k of the Rogers-Ramanujan-type sums, is
 built next to those identities in identities.py.
@@ -277,19 +277,9 @@ class TruncatedSeries:
 # ----- named series builders -------------------------------------------------
 
 
-def geometric(var: str, order: int, deg: int = 1, coeff=1) -> TruncatedSeries:
-    """1/(1 - coeff*var^deg) expanded directly (no division needed)."""
-    if deg < 1:
-        raise ValueError("geometric factor needs degree >= 1")
-    c = _element(coeff)
-    coeffs = [ZERO] * (order + 1)
-    power = ONE
-    k = 0
-    while k * deg <= order:
-        coeffs[k * deg] = power
-        power = power * c
-        k += 1
-    return TruncatedSeries(var, order, coeffs)
+def geometric(var: str, order: int) -> TruncatedSeries:
+    """1/(1 - var) = 1 + var + var^2 + ..., expanded directly."""
+    return TruncatedSeries(var, order, [ONE] * (order + 1))
 
 
 def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:

@@ -6,10 +6,14 @@ next to it; the library paths being tested never enumerate the same way.
 
 import math
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from hooklab import identities
 from hooklab.checks import _constant, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
 from hooklab.harness import run_check
@@ -297,6 +301,104 @@ def test_linear_kernel_rejects_inexact_weights():
         linear_product_sum(3, lambda lam: ([1], MultiPoly.const(1)))
 
 
+# ----- the prefix-product walk -------------------------------------------------------
+
+
+def _reading(multisets):
+    """Each multiset's entries in the order the walk reads them: most
+    frequent across the multisets first, ties by value."""
+    freq = Counter(chain.from_iterable(multisets))
+    return {tuple(sorted(m, key=lambda v: (-freq[v], v))) for m in multisets}
+
+
+def _distinct_prefixes(multisets):
+    return len({key[:i] for key in _reading(multisets) for i in range(1, len(key) + 1)})
+
+
+def _counted_walks(monkeypatch):
+    """Route every _prefix_products walk through a step that records its factor."""
+    steps = []
+    walk = identities._prefix_products
+
+    def counted(keys, start, step):
+        return walk(keys, start, lambda acc, f: steps.append(f) or step(acc, f))
+
+    monkeypatch.setattr(identities, "_prefix_products", counted)
+    return steps
+
+
+# 3 is the most frequent entry, so (2, 3) is read as (3, 2), a prefix of the
+# next key read, (3, 2, 5); (3, 2, 5) and (2, 3, 5) are one multiset given twice.
+WALK_KEYS = [(), (2,), (2, 3), (3, 2, 5), (2, 3, 5), (2, 3, 3), (7, 3)]
+
+
+def test_prefix_walk_products_do_not_depend_on_key_order():
+    rng = random.Random(5)
+    for _ in range(20):
+        keys = WALK_KEYS[:]
+        rng.shuffle(keys)
+        steps = []
+        got = list(identities._prefix_products(
+            keys, 1, lambda acc, f: steps.append(f) or acc * f
+        ))
+        assert sorted(got) == sorted((k, math.prod(k)) for k in WALK_KEYS)
+        assert len(steps) == _distinct_prefixes(WALK_KEYS) == 7
+    assert list(identities._prefix_products([], ONE, None)) == []
+    assert list(identities._prefix_products([()], ONE, None)) == [((), ONE)]
+
+
+def test_prefix_walk_steps_once_per_distinct_prefix(monkeypatch):
+    n = 12
+    want = _hook_square_by_factors(n)
+    steps = []
+    step = identities.dense_linear_product
+    monkeypatch.setattr(
+        identities, "dense_linear_product", lambda c, r: steps.append(r) or step(c, r)
+    )
+    hook_squares = {tuple(sorted(h * h for h in lam.hook_lengths())) for lam in partition_list(n)}
+    assert hook_square_polynomial.__wrapped__(n) == want
+    assert len(steps) == _distinct_prefixes(hook_squares) < sum(map(len, hook_squares))
+
+    # arm_zero_sum numbers its shared (t + h)/h objects in order of first
+    # appearance; there are no denominators, so only the numerators walk.
+    steps = _counted_walks(monkeypatch)
+    first, arm_free = {}, set()
+    for lam in partition_list(n):
+        hooks = [cs.hook for cs in cell_stats(lam) if cs.arm == 0]
+        arm_free.add(tuple(sorted(first.setdefault(h, len(first)) for h in hooks)))
+    assert arm_zero_sum(n) == _per_cell_oracle(n, _shifted_hook, lambda cs: cs.arm == 0)
+    assert len(steps) == _distinct_prefixes(arm_free) < sum(map(len, arm_free))
+
+
+_X, _Y, _Z = T + 1, T + 2, T + 3
+
+
+def _cancelling_weight(cs, lam):
+    """Over n = 3: (3) and (2,1) both give the multiset {Z} with scalars 1 and
+    -1, which cancel; (1,1,1) gives {X, Y, Y}."""
+    if (cs.i, cs.j) == (1, 1):
+        return _X if len(lam) == 3 else _Z
+    if len(lam) == 3:
+        return _Y
+    return -1 if cs.i == 2 else 1
+
+
+def test_cancelled_multisets_are_not_walked(monkeypatch):
+    steps = _counted_walks(monkeypatch)
+    assert partition_product_sum(3, _cancelling_weight) == _X * _Y * _Y
+    assert len(steps) == 3  # X, Y, Y; walking {Z} would take one step more
+    steps = []
+    step = identities.dense_linear_product
+    monkeypatch.setattr(
+        identities, "dense_linear_product", lambda c, r: steps.append(r) or step(c, r)
+    )
+    # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is walked.
+    got = linear_product_sum(3, lambda lam: ([4], 1) if len(lam) == 3 else (
+        [len(lam), 3 - len(lam)], 1 if len(lam) == 1 else -1))
+    assert got == T + 4
+    assert steps == [4]
+
+
 # ----- unit hooks -------------------------------------------------------------------
 
 
@@ -523,6 +625,15 @@ def test_product_sum_rejects_inexact_weights():
         partition_product_sum(3, lambda cs, lam: 0 if cs.j == 1 else 0.5)
     with pytest.raises(TypeError):
         partition_product_sum(3, lambda cs, lam: 0.5 if cs.j == 1 else 0)
+
+
+def test_product_sum_accepts_exactly_exact_weights():
+    # bool is an int, so True and False are scalar weights.
+    assert partition_product_sum(3, lambda cs, lam: True) == MultiPoly.const(3)
+    assert partition_product_sum(3, lambda cs, lam: cs.j == 1) == ONE
+    for bad in (Decimal(1), 1j, "1"):
+        with pytest.raises(TypeError, match="exact cell weight"):
+            partition_product_sum(3, lambda cs, lam: bad)
 
 
 def _per_summand_oracle(order, summand, mode):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,21 +83,38 @@ def test_constructors_and_predicates():
         MultiPoly.var("w")
 
 
+def test_products_accept_exactly_exact_scalars():
+    # A MultiPoly factor is tested for first; the scalars stay int (bool
+    # included) and Fraction.
+    assert T * True == T == True * T
+    assert (T * False).is_zero()
+    assert T * Fraction(1, 2) == Fraction(1, 2) * T == T / 2
+    for bad in (0.5, Decimal(1), 1j, "t"):
+        with pytest.raises(TypeError):
+            T * bad
+        with pytest.raises(TypeError):
+            bad * T
+
+
 @given(st.lists(st.integers(-6, 6), max_size=8))
 def test_dense_linear_product_matches_factor_product(shifts):
-    expected = ONE
+    expected, coeffs = ONE, [1]
     for r in shifts:
         expected = expected * (T + r)
-    coeffs = dense_linear_product(shifts)
+        coeffs = dense_linear_product(coeffs, r)
     assert all(type(c) is int for c in coeffs)
     assert len(coeffs) == len(shifts) + 1
     assert MultiPoly.from_dense(coeffs, "t") == expected
 
 
 def test_dense_linear_product_spots():
-    assert dense_linear_product([]) == [1]
-    assert dense_linear_product([0, 0]) == [0, 0, 1]
-    assert dense_linear_product([1, -1]) == [-1, 0, 1]
+    assert dense_linear_product([1], 0) == [0, 1]
+    assert dense_linear_product([0, 1], 0) == [0, 0, 1]
+    assert dense_linear_product([1, 1], -1) == [-1, 0, 1]
+    assert dense_linear_product([2, -3], 5) == [10, -13, -3]
+    # The step builds a new list and leaves its argument alone.
+    coeffs = [1, 2]
+    assert dense_linear_product(coeffs, 3) == [3, 7, 2] and coeffs == [1, 2]
 
 
 @given(small_polys, st.sampled_from(["t", "q"]))

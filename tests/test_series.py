@@ -101,14 +101,13 @@ def test_ratfunc_defers_to_series_and_rejects_floats():
         lambda: from_ints([1, 2]) * 0.5,
         lambda: 0.5 * from_ints([1, 2]),
         lambda: from_ints([1, 2]) / 0.5,
-        lambda: geometric("x", ORD, 1, 0.5),
         lambda: log_one_minus("x", ORD, 1, 0.5),
         lambda: binomial_series(0.5, "x", ORD),
         lambda: eta_product([(1, 0, 1), (2, 1, 0.5)], ORD),
     ],
     ids=[
         "constructor", "const", "monomial", "monomial-past-order", "scalar-mul",
-        "scalar-rmul", "scalar-div", "geometric-coeff", "log_one_minus-coeff",
+        "scalar-rmul", "scalar-div", "log_one_minus-coeff",
         "binomial-exponent", "eta-exponent",
     ],
 )
