@@ -276,7 +276,7 @@ def _run_C21(bounds):
         if not (arm == mult == full == leg):
             return _bad(f"n={n}")
     order = bounds["eta_order"]
-    lhs = TruncatedSeries("x", order, [hook_square_polynomial(n) for n in range(order + 1)])
+    lhs = TruncatedSeries(order, [hook_square_polynomial(n) for n in range(order + 1)])
     rhs = eta_product([(1, 0, _T + 1)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -356,8 +356,8 @@ def _run_L23(bounds):
 def _run_L31(bounds):
     order = bounds["order"]
     lhs = egf_cycle_statistic(order, lambda lam: _T ** lam.odd * _Q ** lam.even)
-    rhs = binomial_series(_T, "x", order) * binomial_series(
-        (_Q - _T) * Fraction(1, 2), "x", order, deg=2
+    rhs = binomial_series(_T, order) * binomial_series(
+        (_Q - _T) * Fraction(1, 2), order, deg=2
     )
     w = _series_mismatch(lhs, rhs)
     return _bad(w) if w else _ok()
@@ -368,7 +368,7 @@ def _run_X32(bounds):
     # One object per (content, hook), so partition_product_sum shares products.
     table = functools.cache(lambda c, h: (_T + c) * (_V + c) * Fraction(1, h**2))
     prod = partition_product_series(order, lambda cs, lam: table(cs.content, cs.hook))
-    closed = binomial_series(_T * _V, "x", order)
+    closed = binomial_series(_T * _V, order)
     egf = egf_cycle_statistic(order, lambda lam: (_T * _V) ** len(lam))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)
     return _bad(w) if w else _ok("partition product, binomial power, and cycle sum all agree")
@@ -377,8 +377,8 @@ def _run_X32(bounds):
 def _run_X33(bounds):
     order = bounds["order"]
     prod = linear_product_series(order, _linear(lambda lam, i, j: j - i, 1))
-    closed = binomial_series(_T, "x", order) * binomial_series(
-        binomial_poly(_T, 2), "x", order, deg=2
+    closed = binomial_series(_T, order) * binomial_series(
+        binomial_poly(_T, 2), order, deg=2
     )
     egf = egf_cycle_statistic(order, lambda lam: _T ** (lam.odd + 2 * lam.even))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)
@@ -437,14 +437,13 @@ def _run_C41(bounds):
         return _bad("n=3, k=1 moment is not 6")
     for k in range(kmax + 1):
         lhs = TruncatedSeries(
-            "z",
             top,
             [
                 Fraction(involution_trace_moment(n, k), math.factorial(n))
                 for n in range(top + 1)
             ],
         )
-        rhs = TruncatedSeries("z", top, bell_poly(k).dense_coeffs("z")) * involution_egf(top)
+        rhs = TruncatedSeries(top, bell_poly(k).dense_coeffs("z")) * involution_egf(top)
         w = _series_mismatch(lhs, rhs)
         if w:
             return _bad(f"k={k}, {w}")
@@ -457,7 +456,7 @@ def _run_C42(bounds):
         order,
         lambda lam: (2 ** len(lam)) * bell_poly(len(lam)) if lam.even == 0 else 0,
     )
-    accumulated = geometric("x", order) * TruncatedSeries.monomial("x", order, 1)
+    accumulated = geometric(order) * TruncatedSeries.monomial(order, 1)
     rhs = (accumulated * (2 * _Z)).exp()
     w = _series_mismatch(lhs, rhs)
     return _bad(w) if w else _ok()
@@ -819,7 +818,7 @@ def _run_T95ii(bounds):
 
 def _run_T95iii(bounds):
     order = bounds["order"]
-    lhs = TruncatedSeries("x", order, [squares_polynomial(n) for n in range(order + 1)])
+    lhs = TruncatedSeries(order, [squares_polynomial(n) for n in range(order + 1)])
     rhs = rr_q_series("thm95", order)
     w = _series_mismatch(lhs, rhs)
     if w:

@@ -137,9 +137,7 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
 
 def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
     """sum_n x^n sum_{lambda |- n} prod_u weight(u); empty products give 1."""
-    return TruncatedSeries(
-        "x", order, [partition_product_sum(n, weight) for n in range(order + 1)]
-    )
+    return TruncatedSeries(order, [partition_product_sum(n, weight) for n in range(order + 1)])
 
 
 def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
@@ -172,9 +170,7 @@ def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
 
 def linear_product_series(order: int, factors: Callable) -> TruncatedSeries:
     """sum_n x^n linear_product_sum(n, factors)."""
-    return TruncatedSeries(
-        "x", order, [linear_product_sum(n, factors) for n in range(order + 1)]
-    )
+    return TruncatedSeries(order, [linear_product_sum(n, factors) for n in range(order + 1)])
 
 
 def partition_additive_series(
@@ -207,7 +203,7 @@ def partition_additive_series(
                 else:
                     rest = rest + s
         coeffs.append(from_packed(terms) + rest)
-    return TruncatedSeries("x", order, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
 def partition_gf(order: int) -> TruncatedSeries:
@@ -288,9 +284,9 @@ def unit_hook_series(order: int, corrected: bool = False) -> TruncatedSeries:
     """
     eta = eta_product([(2, 0, -2), (1, 0, 1)], order)
     if corrected:
-        return (eta - 1) * geometric("x", order)
-    x = TruncatedSeries.monomial("x", order, 1)
-    return eta * geometric("x", order) * x
+        return (eta - 1) * geometric(order)
+    x = TruncatedSeries.monomial(order, 1)
+    return eta * geometric(order) * x
 
 
 # ----- squares statistics --------------------------------------------------------
@@ -339,16 +335,16 @@ def top_hook_series(order: int, gap2_only: bool = False) -> TruncatedSeries:
             for lam in partition_list(n)
             if not gap2_only or all(a - b >= 2 for a, b in zip(lam.parts, lam.parts[1:]))
         ))
-    return TruncatedSeries("x", order, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
 def _qpoch(coeff, k: int, order: int) -> TruncatedSeries:
     """(coeff x; x)_k = prod_{j=1..k} (1 - coeff x^j); factors of degree past
     the order are 1 at this truncation."""
-    one = TruncatedSeries.const(1, "x", order)
+    one = TruncatedSeries(order, [1])
     result = one
     for j in range(1, min(k, order) + 1):
-        result = (one - TruncatedSeries.monomial("x", order, j, coeff)) * result
+        result = (one - TruncatedSeries.monomial(order, j, coeff)) * result
     return result
 
 
@@ -365,18 +361,18 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
     """
     q = MultiPoly.var("q")
     if kind == "prop91":
-        total = TruncatedSeries.zero("x", order)
+        total = TruncatedSeries(order)
         k = 1
         while k * k <= order:
-            num = TruncatedSeries.monomial("x", order, k * k, q ** (3 * k - 2))
+            num = TruncatedSeries.monomial(order, k * k, q ** (3 * k - 2))
             total = total + num / _qpoch(q, k, order)
             k += 1
         return total
     if kind == "prop92_middle":
-        total = TruncatedSeries.zero("x", order)
+        total = TruncatedSeries(order)
         k = 0
         while k * (k + 1) <= order:
-            num = TruncatedSeries.monomial("x", order, k * (k + 1), q ** (2 * k))
+            num = TruncatedSeries.monomial(order, k * (k + 1), q ** (2 * k))
             den = _qpoch(q, k, order) * _qpoch(q, k + 1, order)
             total = total + num / den
             k += 1
@@ -393,18 +389,14 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
                 if not c.is_zero():
                     acc = acc + MultiPoly.monomial({"q": j}, c.as_fraction())
             coeffs.append(acc)
-        return TruncatedSeries("x", order, coeffs)
+        return TruncatedSeries(order, coeffs)
     if kind == "thm95":
-        total = TruncatedSeries.zero("x", order)
+        total = TruncatedSeries(order)
         k = 0
         while k * k <= order:
-            term = TruncatedSeries.monomial(
-                "x", order, k * k, q ** (k * (k + 1) * (2 * k + 1) // 6)
-            )
+            term = TruncatedSeries.monomial(order, k * k, q ** (k * (k + 1) * (2 * k + 1) // 6))
             for j in range(1, k + 1):
-                block = TruncatedSeries.const(1, "x", order) - TruncatedSeries.monomial(
-                    "x", order, j, q ** (j * (j + 1) // 2)
-                )
+                block = 1 - TruncatedSeries.monomial(order, j, q ** (j * (j + 1) // 2))
                 term = term / (block * block)
             total = total + term
             k += 1
@@ -414,10 +406,10 @@ def rr_q_series(kind: str, order: int) -> TruncatedSeries:
 
 def rr_count_series(order: int) -> TruncatedSeries:
     """1 + sum_{k>=1} x^(k^2)/(x;x)_k; counts partitions with gaps >= 2."""
-    total = TruncatedSeries.const(1, "x", order)
+    total = TruncatedSeries(order, [1])
     k = 1
     while k * k <= order:
-        num = TruncatedSeries.monomial("x", order, k * k)
+        num = TruncatedSeries.monomial(order, k * k)
         total = total + num / _qpoch(1, k, order)
         k += 1
     return total
@@ -441,7 +433,7 @@ def _lambert_rhs(order: int, term: Callable) -> TruncatedSeries:
     for k in range(1, order + 1):
         for m in range(1, order // k + 1):
             tail[k * m] = tail[k * m] + term(k, m)
-    return partition_gf(order) * TruncatedSeries("x", order, tail)
+    return partition_gf(order) * TruncatedSeries(order, tail)
 
 
 def power_sum_rhs_series(order: int, alpha: int) -> TruncatedSeries:
@@ -510,18 +502,13 @@ def hook_falling_factorial_moment(n: int, r: int) -> tuple[Fraction, Fraction]:
             cell_total += prod
         lhs += Fraction(f * f * cell_total)
     lhs /= math.factorial(n)
-
-    def comb(a: int, b: int) -> int:
-        if b < 0 or a < 0 or b > a:
-            return 0
-        return math.comb(a, b)
-
+    # n, r >= 1 keeps every argument nonnegative; math.comb gives 0 for k > n.
     rhs = Fraction(
-        comb(2 * r + 1, r + 1) ** 2 * comb(n, r + 1) * math.factorial(r), 2 * r + 1
+        math.comb(2 * r + 1, r + 1) ** 2 * math.comb(n, r + 1) * math.factorial(r), 2 * r + 1
     ) + Fraction(
-        comb(2 * r + 2, r + 1)
-        * comb(2 * r - 2, r - 1)
-        * comb(n, r)
+        math.comb(2 * r + 2, r + 1)
+        * math.comb(2 * r - 2, r - 1)
+        * math.comb(n, r)
         * math.factorial(r + 1),
         8 * r + 4,
     )

@@ -33,7 +33,7 @@ def egf_cycle_statistic(order: int, weight: Callable[[Partition], object]):
         for lam in partition_list(n):
             total = total + weight(lam) * lam.class_size
         coeffs.append(total * Fraction(1, math.factorial(n)))
-    return TruncatedSeries("x", order, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
 # ----- Stirling / Bell ---------------------------------------------------------
@@ -73,8 +73,8 @@ def involution_count(n: int) -> int:
 
 
 def involution_egf(order: int) -> TruncatedSeries:
-    """exp(z + z^2/2), the exponential generating series of involutions."""
-    return TruncatedSeries("z", order, [0, 1, Fraction(1, 2)]).exp()
+    """exp(x + x^2/2), the exponential generating series of involutions."""
+    return TruncatedSeries(order, [0, 1, Fraction(1, 2)]).exp()
 
 
 def involution_trace_moment(n: int, k: int) -> int:
@@ -189,7 +189,7 @@ def q_eulerian_B_reference(n: int) -> MultiPoly:
         raise ValueError("q-Eulerian B_n needs n >= 1")
 
     def e_scaled(scale: MultiPoly) -> TruncatedSeries:
-        return TruncatedSeries("z", n, [scale**m / qpoch_poly(m) for m in range(n + 1)])
+        return TruncatedSeries(n, [scale**m / qpoch_poly(m) for m in range(n + 1)])
 
     e1 = e_scaled(ONE)
     et = e_scaled(_T)

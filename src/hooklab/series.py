@@ -1,12 +1,12 @@
-"""Truncated formal power series over exact polynomial or rational coefficients.
+"""Truncated formal power series in x over exact polynomial or rational coefficients.
 
-A TruncatedSeries fixes a series variable name and an order N and stores the
-coefficients of x^0..x^N as the ring elements it is given: a MultiPoly or a
-RatFunc as it is, an int or Fraction as a constant MultiPoly.  So a RatFunc
-appears only where a caller divides polynomials (p / q) and a denominator is
-left, and a series equals only another series.  The series variable is
-bookkeeping only: coefficients must not involve it, which the constructor
-enforces when the name collides with a coefficient variable.
+Every series is a series in x, which is not one of the coefficient
+variables (multipoly.VARIABLES), so a coefficient may use any of those,
+z included.  A TruncatedSeries fixes an order N and stores the
+coefficients of x^0..x^N as the ring elements it is given: a MultiPoly or
+a RatFunc as it is, an int or Fraction as a constant MultiPoly.  So a
+RatFunc appears only where a caller divides polynomials (p / q) and a
+denominator is left, and a series equals only another series.
 
 exp and log use the standard derivative recurrences, so series with
 polynomial coefficients keep polynomial coefficients: the only divisions are
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadConstantTerm, DivisionByNonUnit
-from .multipoly import ONE, VARIABLES, ZERO, MultiPoly, RatFunc
+from .multipoly import ONE, ZERO, MultiPoly, RatFunc
 
 
 def _element(value):
@@ -40,47 +40,37 @@ def _element(value):
     return MultiPoly.const(value)
 
 
+def _series(order: int, coeffs) -> TruncatedSeries:
+    """Wrap order + 1 coefficients that are already ring elements; no checks."""
+    r = TruncatedSeries.__new__(TruncatedSeries)
+    r.order = order
+    r.coeffs = tuple(coeffs)
+    return r
+
+
 class TruncatedSeries:
-    """Power series in one variable, exact up to and including x^order."""
+    """Power series in x, exact up to and including x^order."""
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, var: str, order: int, coeffs: Sequence = ()):
+    def __init__(self, order: int, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
         padded = [_element(c) for c in coeffs][: order + 1]
         padded += [ZERO] * (order + 1 - len(padded))
-        if var in VARIABLES:
-            for c in padded:
-                polys = (c.num, c.den) if isinstance(c, RatFunc) else (c,)
-                if any(p.degree(var) > 0 for p in polys):
-                    raise ValueError(
-                        f"coefficient of a series in {var} must not involve {var}"
-                    )
-        self.var = var
         self.order = order
         self.coeffs = tuple(padded)
 
-    # ----- constructors --------------------------------------------------
-
     @staticmethod
-    def zero(var: str, order: int) -> TruncatedSeries:
-        return TruncatedSeries(var, order)
-
-    @staticmethod
-    def const(value, var: str, order: int) -> TruncatedSeries:
-        return TruncatedSeries(var, order, [value])
-
-    @staticmethod
-    def monomial(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
-        """coeff * var^deg, truncated (zero series if deg > order)."""
+    def monomial(order: int, deg: int, coeff=1) -> TruncatedSeries:
+        """coeff * x^deg, truncated (zero series if deg > order)."""
         if deg < 0:
             raise ValueError("monomial degree must be nonnegative")
         coeffs = [ZERO] * (order + 1)
         c = _element(coeff)
         if deg <= order:
             coeffs[deg] = c
-        return TruncatedSeries(var, order, coeffs)
+        return TruncatedSeries(order, coeffs)
 
     # ----- access ---------------------------------------------------------
 
@@ -93,11 +83,8 @@ class TruncatedSeries:
         return all(c.is_zero() for c in self.coeffs)
 
     def _check_compatible(self, other: TruncatedSeries):
-        if self.var != other.var or self.order != other.order:
-            raise ValueError(
-                f"series mismatch: ({self.var!r}, N={self.order}) vs "
-                f"({other.var!r}, N={other.order})"
-            )
+        if self.order != other.order:
+            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
 
     # ----- arithmetic -----------------------------------------------------
 
@@ -105,7 +92,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            return TruncatedSeries.const(other, self.var, self.order)
+            return TruncatedSeries(self.order, [other])
         return None
 
     def __add__(self, other):
@@ -113,18 +100,12 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         self._check_compatible(o)
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.var, out.order = self.var, self.order
-        out.coeffs = tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        return out
+        return _series(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.var, out.order = self.var, self.order
-        out.coeffs = tuple(-c for c in self.coeffs)
-        return out
+        return _series(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -140,10 +121,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
-            out = TruncatedSeries.__new__(TruncatedSeries)
-            out.var, out.order = self.var, self.order
-            out.coeffs = tuple(a * other for a in self.coeffs)
-            return out
+            return _series(self.order, [a * other for a in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -159,10 +137,7 @@ class TruncatedSeries:
                 bj = b[j]
                 if not bj.is_zero():
                     out[i + j] = out[i + j] + ai * bj
-        r = TruncatedSeries.__new__(TruncatedSeries)
-        r.var, r.order = self.var, n
-        r.coeffs = tuple(out)
-        return r
+        return _series(n, out)
 
     __rmul__ = __mul__
 
@@ -170,7 +145,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
             if not other:
                 raise ZeroDivisionError("series divided by zero scalar")
-            other = TruncatedSeries.const(other, self.var, self.order)
+            other = TruncatedSeries(self.order, [other])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -189,7 +164,7 @@ class TruncatedSeries:
                 if not bj.is_zero() and not out[j].is_zero():
                     acc = acc - out[j] * bj
             out.append(acc * inv_b0)
-        return TruncatedSeries(self.var, n, out)
+        return _series(n, out)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -199,15 +174,14 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         # A scalar is not a series: lifting it to this series' order would
-        # make 1 equal series of every order and break hashing.
+        # make 1 equal series of every order and break hashing.  The length
+        # of coeffs is order + 1, so equal coefficients mean equal orders.
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
+        return hash(self.coeffs)
 
     def first_difference(self, other: TruncatedSeries) -> int | None:
         """Smallest n where coefficients differ, or None if equal throughout."""
@@ -232,7 +206,7 @@ class TruncatedSeries:
                 if not s[k].is_zero() and not out[m - k].is_zero():
                     acc = acc + s[k] * out[m - k] * Fraction(k)
             out[m] = acc * Fraction(1, m)
-        return TruncatedSeries(self.var, n, out)
+        return _series(n, out)
 
     def log(self) -> TruncatedSeries:
         """log of a series with constant term 1."""
@@ -247,28 +221,23 @@ class TruncatedSeries:
                 if not out[k].is_zero() and not s[m - k].is_zero():
                     acc = acc - out[k] * s[m - k] * Fraction(k)
             out[m] = acc * Fraction(1, m)
-        return TruncatedSeries(self.var, n, out)
+        return _series(n, out)
 
-    def render(self, max_terms: int = 12) -> str:
+    def render(self) -> str:
         parts = []
-        shown = 0
         for deg, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            if shown >= max_terms:
-                parts.append("...")
-                break
             body = c.render()
             if deg == 0:
                 parts.append(body)
             else:
-                x = self.var if deg == 1 else f"{self.var}^{deg}"
+                x = "x" if deg == 1 else f"x^{deg}"
                 parts.append(f"({body})*{x}" if (" " in body or "/" in body) else
                              (x if body == "1" else f"{body}*{x}"))
-            shown += 1
         if not parts:
             return "0"
-        return " + ".join(parts) + f" + O({self.var}^{self.order + 1})"
+        return " + ".join(parts) + f" + O(x^{self.order + 1})"
 
     def __repr__(self):
         return f"TruncatedSeries({self.render()})"
@@ -277,13 +246,13 @@ class TruncatedSeries:
 # ----- named series builders -------------------------------------------------
 
 
-def geometric(var: str, order: int) -> TruncatedSeries:
-    """1/(1 - var) = 1 + var + var^2 + ..., expanded directly."""
-    return TruncatedSeries(var, order, [ONE] * (order + 1))
+def geometric(order: int) -> TruncatedSeries:
+    """1/(1 - x) = 1 + x + x^2 + ..., expanded directly."""
+    return TruncatedSeries(order, [ONE] * (order + 1))
 
 
-def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
-    """log(1 - coeff*var^deg) = -sum coeff^m var^(deg m)/m."""
+def log_one_minus(order: int, deg: int, coeff=1) -> TruncatedSeries:
+    """log(1 - coeff*x^deg) = -sum coeff^m x^(deg m)/m."""
     if deg < 1:
         raise ValueError("log expansion needs degree >= 1")
     c = _element(coeff)
@@ -294,17 +263,17 @@ def log_one_minus(var: str, order: int, deg: int, coeff=1) -> TruncatedSeries:
         coeffs[m * deg] = -power * Fraction(1, m)
         power = power * c
         m += 1
-    return TruncatedSeries(var, order, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
-def binomial_series(exponent, var: str, order: int, deg: int = 1):
-    """(1 - var^deg)^(-exponent) via exp(exponent * -log(1 - var^deg)).
+def binomial_series(exponent, order: int, deg: int = 1):
+    """(1 - x^deg)^(-exponent) via exp(exponent * -log(1 - x^deg)).
 
     The exponent may be any polynomial (or rational constant); coefficients of
     the result are polynomials in the exponent's variables.
     """
     e = _element(exponent)
-    return (log_one_minus(var, order, deg) * (-e)).exp()
+    return (log_one_minus(order, deg) * (-e)).exp()
 
 
 # ----- q-polynomials ----------------------------------------------------------
@@ -354,17 +323,19 @@ def eta_product(factors, order: int) -> TruncatedSeries:
     prod_{j>=1} (1 - x^(stride*j - offset))^(-exponent).
 
     Exponents may be polynomials.  A factor tuple may carry a fourth, boolean
-    entry selecting (1 + ...) instead of (1 - ...).  The logs of all factors
-    are summed and exponentiated once.
+    entry selecting (1 + ...) instead of (1 - ...).  The offset must be below
+    the stride, so that every factor has positive degree.  The logs of all
+    factors are summed and exponentiated once.
     """
-    total = TruncatedSeries.zero("x", order)
+    total = TruncatedSeries(order)
     for fac in factors:
         stride, offset, expo = fac[:3]
         plus = len(fac) > 3 and fac[3]
         if stride < 1:
             raise ValueError("stride must be >= 1")
+        if offset >= stride:
+            raise ValueError(f"offset {offset} must be below stride {stride}")
         neg_e = -_element(expo)
         for deg in range(stride - offset, order + 1, stride):
-            if deg >= 1:
-                total = total + log_one_minus("x", order, deg, -1 if plus else 1) * neg_e
+            total = total + log_one_minus(order, deg, -1 if plus else 1) * neg_e
     return total.exp()

@@ -17,7 +17,7 @@ from hooklab.identities import (
     rr_q_series,
     surd_hook_factor,
 )
-from hooklab.multipoly import ONE, MultiPoly, RatFunc, exact_div
+from hooklab.multipoly import ONE, VARIABLES, MultiPoly, RatFunc, exact_div
 from hooklab.partitions import partition_count, partition_list
 from hooklab.permstats import involution_egf
 from hooklab.series import (
@@ -36,7 +36,7 @@ ORD = 12
 
 def from_ints(vals, order=ORD):
     vals = list(vals) + [0] * (order + 1 - len(vals))
-    return TruncatedSeries("x", order, [Fraction(v) for v in vals[: order + 1]])
+    return TruncatedSeries(order, [Fraction(v) for v in vals[: order + 1]])
 
 
 def test_basic_algebra():
@@ -63,15 +63,15 @@ def test_uncoercible_operands_are_not_implemented():
 def test_a_scalar_never_equals_a_series():
     # Equality must agree with hashing and stay transitive, so a series is
     # not lifted from a scalar, a polynomial or a rational function.
-    one3, one5 = TruncatedSeries.const(1, "x", 3), TruncatedSeries.const(1, "x", 5)
+    one3, one5 = TruncatedSeries(3, [1]), TruncatedSeries(5, [1])
     q = MultiPoly.var("q")
     for other in (1, Fraction(1), MultiPoly.const(1), q, ONE / (q + 1)):
         assert one3 != other and other != one3
         assert one3.__eq__(other) is NotImplemented
     assert len({one3, 1}) == 2
     assert one3 != one5
-    assert one3 == TruncatedSeries("x", 3, [MultiPoly.const(1)])
-    assert len({one3, TruncatedSeries("x", 3, [1, 0])}) == 1
+    assert one3 == TruncatedSeries(3, [MultiPoly.const(1)])
+    assert len({one3, TruncatedSeries(3, [1, 0])}) == 1
 
 
 def test_ratfunc_defers_to_series_and_rejects_floats():
@@ -81,7 +81,7 @@ def test_ratfunc_defers_to_series_and_rejects_floats():
     assert r.__rtruediv__(0.5) is NotImplemented
     assert r.__rsub__(0.5) is NotImplemented
     assert (r / s).first_difference(s.__rtruediv__(r)) is None
-    assert ((r / s) * s).first_difference(TruncatedSeries.const(r, "x", ORD)) is None
+    assert ((r / s) * s).first_difference(TruncatedSeries(ORD, [r])) is None
     assert (r - s).first_difference(-(s - r)) is None
     with pytest.raises(TypeError, match="'float' and 'RatFunc'"):
         0.5 - r
@@ -94,15 +94,15 @@ def test_ratfunc_defers_to_series_and_rejects_floats():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: TruncatedSeries("x", ORD, [1, 0.5]),
-        lambda: TruncatedSeries.const(0.5, "x", ORD),
-        lambda: TruncatedSeries.monomial("x", ORD, 2, 0.5),
-        lambda: TruncatedSeries.monomial("x", 3, 5, 0.5),  # past the order too
+        lambda: TruncatedSeries(ORD, [1, 0.5]),
+        lambda: TruncatedSeries(ORD, [0.5]),
+        lambda: TruncatedSeries.monomial(ORD, 2, 0.5),
+        lambda: TruncatedSeries.monomial(3, 5, 0.5),  # past the order too
         lambda: from_ints([1, 2]) * 0.5,
         lambda: 0.5 * from_ints([1, 2]),
         lambda: from_ints([1, 2]) / 0.5,
-        lambda: log_one_minus("x", ORD, 1, 0.5),
-        lambda: binomial_series(0.5, "x", ORD),
+        lambda: log_one_minus(ORD, 1, 0.5),
+        lambda: binomial_series(0.5, ORD),
         lambda: eta_product([(1, 0, 1), (2, 1, 0.5)], ORD),
     ],
     ids=[
@@ -120,11 +120,11 @@ def test_polynomial_builders_hold_only_multipoly_values():
     t, v = MultiPoly.var("t"), MultiPoly.var("v")
     built = {
         "eta_product": eta_product([(1, 0, t + 1), (2, 1, 2, True)], 10),
-        "binomial_series": binomial_series(t * t - 1, "x", 8, deg=2),
+        "binomial_series": binomial_series(t * t - 1, 8, deg=2),
         "partition_gf": partition_gf(10),
         "involution_egf": involution_egf(8),
-        "arm_zero_sum": TruncatedSeries("x", 9, [arm_zero_sum(n) for n in range(10)]),
-        "leg_zero_sum": TruncatedSeries("x", 9, [leg_zero_sum(n) for n in range(10)]),
+        "arm_zero_sum": TruncatedSeries(9, [arm_zero_sum(n) for n in range(10)]),
+        "leg_zero_sum": TruncatedSeries(9, [leg_zero_sum(n) for n in range(10)]),
         # X3.2's weight: every denominator is an integer, so it divides out.
         "partition_product_series": partition_product_series(
             7, lambda cs, lam: (t + cs.content) * (v + cs.content) * Fraction(1, cs.hook**2)
@@ -142,8 +142,8 @@ def test_ratfunc_series_divide_by_one_minus_t():
     # which is no unit of the polynomial ring until both sides are scaled by
     # 1/(1 - t).
     t, q = MultiPoly.var("t"), MultiPoly.var("q")
-    den = TruncatedSeries("x", 5, [1 - t, t / (1 - q), ONE / (1 - q * q)])
-    num = TruncatedSeries("x", 5, [1, t, q / (1 + t)])
+    den = TruncatedSeries(5, [1 - t, t / (1 - q), ONE / (1 - q * q)])
+    num = TruncatedSeries(5, [1, t, q / (1 + t)])
     with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
         num / den
     with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
@@ -157,7 +157,7 @@ def test_ratfunc_series_divide_by_one_minus_t():
 
 def test_geometric_inverts_one_minus_x():
     one_minus = from_ints([1, -1])
-    assert (geometric("x", ORD) * one_minus).first_difference(from_ints([1])) is None
+    assert (geometric(ORD) * one_minus).first_difference(from_ints([1])) is None
 
 
 def test_division_roundtrip():
@@ -173,7 +173,7 @@ def test_division_needs_unit_constant_term():
     t = MultiPoly.var("t")
     s = from_ints([1, 2, 3])
     with pytest.raises(DivisionByNonUnit, match="not 1 - t"):
-        s / TruncatedSeries("x", ORD, [1 - t, 1])
+        s / TruncatedSeries(ORD, [1 - t, 1])
     with pytest.raises(DivisionByNonUnit, match="not t"):
         s / t
     for zero in (0, Fraction(0), MultiPoly.const(0), MultiPoly.const(0) / t):
@@ -192,15 +192,15 @@ rational_lists = st.lists(
 @settings(deadline=None)
 @given(rational_lists)
 def test_log_exp_roundtrip(vals):
-    s = TruncatedSeries("x", 10, [Fraction(0)] + [Fraction(v) for v in vals])
+    s = TruncatedSeries(10, [Fraction(0)] + [Fraction(v) for v in vals])
     assert s.exp().log().first_difference(s) is None
 
 
 @settings(deadline=None)
 @given(rational_lists, rational_lists)
 def test_exp_turns_sums_into_products(u, v):
-    a = TruncatedSeries("x", 8, [Fraction(0)] + [Fraction(x) for x in u])
-    b = TruncatedSeries("x", 8, [Fraction(0)] + [Fraction(x) for x in v])
+    a = TruncatedSeries(8, [Fraction(0)] + [Fraction(x) for x in u])
+    b = TruncatedSeries(8, [Fraction(0)] + [Fraction(x) for x in v])
     assert ((a + b).exp()).first_difference(a.exp() * b.exp()) is None
 
 
@@ -211,26 +211,26 @@ def test_exp_requires_zero_constant_term():
         from_ints([0, 1]).log()
 
 
-def test_coefficients_must_not_involve_the_series_variable():
-    z = MultiPoly.var("z")
-    with pytest.raises(ValueError, match="must not involve z"):
-        TruncatedSeries("z", 4, [1, z + 1])
-    with pytest.raises(ValueError, match="must not involve z"):
-        TruncatedSeries("z", 4, [1, ONE / (1 + z)])
-    in_x = TruncatedSeries("x", 4, [1, z, ONE / (1 + z)])
-    assert in_x.coefficient(1) == z
+def test_coefficients_may_use_any_coefficient_variable():
+    # The series variable x is no coefficient variable, so any of them, z
+    # included, may appear in a coefficient, inside a RatFunc too.
+    for name in VARIABLES:
+        v = MultiPoly.var(name)
+        s = TruncatedSeries(4, [1, v, ONE / (1 + v)])
+        assert s.coefficient(1) == v and s.coefficient(2) == ONE / (1 + v)
+        assert (s * s).coefficient(1) == 2 * v
 
 
 def test_dense_coefficients_and_coefficient_views():
     t = MultiPoly.var("t")
     p = 3 * t**2 + t + 2
-    s = TruncatedSeries("x", ORD, p.dense_coeffs("t"))
+    s = TruncatedSeries(ORD, p.dense_coeffs("t"))
     assert s.coefficient(0).as_fraction() == 2
     assert s.coefficient(2).as_fraction() == 3
     assert s.coefficient(5) == MultiPoly.const(0)
     # coefficient returns the element stored: scalars lifted, the rest as given
     r = t / (t + 1)
-    given = TruncatedSeries("x", 3, [2, t, r])
+    given = TruncatedSeries(3, [2, t, r])
     assert given.coefficient(0) == 2 and type(given.coefficient(0)) is MultiPoly
     assert given.coefficient(1) is t and given.coefficient(2) is r
     assert type(given.coefficient(3)) is MultiPoly
@@ -241,6 +241,64 @@ def test_first_difference_reports_smallest_order():
     b = from_ints([1, 2, 9, 4])
     assert a.first_difference(b) == 2
     assert a.first_difference(a) is None
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+        lambda a, b: a.first_difference(b),
+    ],
+    ids=["add", "sub", "mul", "div", "first_difference"],
+)
+def test_series_of_different_orders_do_not_mix(op):
+    a, b = from_ints([1, 2], 3), from_ints([1, 2], 5)
+    with pytest.raises(ValueError, match="orders differ: 3 vs 5"):
+        op(a, b)
+    with pytest.raises(ValueError, match="orders differ: 5 vs 3"):
+        op(b, a)
+
+
+def test_bad_orders_degrees_and_indices_raise():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        TruncatedSeries(-1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        TruncatedSeries.monomial(-1, 0)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        TruncatedSeries.monomial(4, -1)
+    s = from_ints([1, 2, 3], 4)
+    assert s.coefficient(0) == ONE and s.coefficient(4).is_zero()
+    for n in (-1, 5):
+        with pytest.raises(IndexError, match=f"coefficient {n} outside truncation order 4"):
+            s.coefficient(n)
+    for deg in (0, -1):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            log_one_minus(4, deg)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries("x", 3),
+        lambda: TruncatedSeries("x", 3, [1, 2]),
+        lambda: TruncatedSeries.monomial("x", 3, 1),
+        lambda: geometric("x", 4),
+        lambda: log_one_minus("x", 4, 1),
+        lambda: binomial_series(1, "x", 4),
+        lambda: binomial_series(1, "x", 4, deg=2),
+    ],
+    ids=[
+        "constructor", "constructor-coeffs", "monomial", "geometric",
+        "log_one_minus", "binomial_series", "binomial_series-deg",
+    ],
+)
+def test_a_series_variable_name_is_refused(build):
+    # Every series is in x; the old leading variable name never builds one.
+    with pytest.raises(TypeError):
+        build()
 
 
 # ----- named series ---------------------------------------------------------------
@@ -265,15 +323,15 @@ def test_partition_generating_series_two_ways():
 
 def test_binomial_series_is_group_like():
     t = MultiPoly.var("t")
-    up = binomial_series(t, "x", 10)
-    down = binomial_series(-t, "x", 10)
+    up = binomial_series(t, 10)
+    down = binomial_series(-t, 10)
     prod = up * down
     assert prod.coefficient(0).is_one()
     assert all(prod.coefficient(n).is_zero() for n in range(1, 11))
 
 
 def test_binomial_series_integer_exponent_matches_binomials():
-    s = binomial_series(MultiPoly.const(3), "x", 8)
+    s = binomial_series(MultiPoly.const(3), 8)
     # (1-x)^-3 has coefficients C(n+2, 2)
     for n in range(9):
         assert s.coefficient(n).as_fraction() == math.comb(n + 2, 2)
@@ -340,39 +398,53 @@ def test_qpoch_finite_product():
         [1, 0, 0, -1], 10
     )
     assert _qpoch(1, 3, 10).first_difference(rhs) is None
-    assert _qpoch(1, 0, 10) == TruncatedSeries.const(1, "x", 10)
+    assert _qpoch(1, 0, 10) == TruncatedSeries(10, [1])
     # (qx; x)_2 = (1 - qx)(1 - qx^2) = 1 - qx - qx^2 + q^2 x^3
     q = MultiPoly.var("q")
-    assert _qpoch(q, 2, 5) == TruncatedSeries("x", 5, [1, -q, -q, q**2])
+    assert _qpoch(q, 2, 5) == TruncatedSeries(5, [1, -q, -q, q**2])
     # past the order the factors are 1: (x; x)_9 at order 4 is (x; x)_4 there
-    full = TruncatedSeries("x", 4, [1, -1, -1, 0, 0])  # Euler: 1 - x - x^2 + x^5 + ...
+    full = TruncatedSeries(4, [1, -1, -1, 0, 0])  # Euler: 1 - x - x^2 + x^5 + ...
     assert _qpoch(1, 9, 4) == full == _qpoch(1, 4, 4)
-    assert _qpoch(q, 7, 3) == TruncatedSeries("x", 3, [1, -q, -q, q**2 - q])
+    assert _qpoch(q, 7, 3) == TruncatedSeries(3, [1, -q, -q, q**2 - q])
 
 
 def test_eta_product_with_offset_and_plus_sign():
     # prod 1/(1 + x^(2j-1)) via the negated factor form
     s = eta_product([(2, 1, 1, True)], 10)
-    direct = TruncatedSeries.const(1, "x", 10)
+    direct = TruncatedSeries(10, [1])
     for j in range(1, 11):
         off = 2 * j - 1
         if off > 10:
             break
         direct = direct / (
-            TruncatedSeries.const(1, "x", 10) + TruncatedSeries.monomial("x", 10, off)
+            TruncatedSeries(10, [1]) + TruncatedSeries.monomial(10, off)
         )
     assert s.first_difference(direct) is None
+
+
+def test_eta_product_needs_offset_below_stride():
+    # stride*j - offset must be positive for j = 1: (2, 2) would divide by
+    # 1 - x^0 and (3, 5) take 1 - x^(-2).
+    for factor in ((2, 2, 1), (3, 5, 1), (1, 1, 1, True)):
+        with pytest.raises(ValueError, match="must be below stride"):
+            eta_product([(1, 0, 1), factor], 6)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            eta_product([(stride, 0, 1)], 6)
+    # odd and even parts give every partition; offset stride - 1 starts at x^1
+    assert eta_product([(1, 0, 1)], 6) == eta_product([(2, 1, 1), (2, 0, 1)], 6)
+    assert eta_product([(5, 4, 1)], 3).first_difference(geometric(3)) is None
 
 
 def test_polynomial_exponent_eta_factor():
     t = MultiPoly.var("t")
     # prod (1-x^j)^(-(t+1)) at t=0 collapses to the partition series
     s = eta_product([(1, 0, t + 1)], 10)
-    at0 = TruncatedSeries(
-        "x", 10, [s.coefficient(n).subs("t", 0) for n in range(11)]
-    )
+    at0 = TruncatedSeries(10, [s.coefficient(n).subs("t", 0) for n in range(11)])
     assert at0.first_difference(eta_product([(1, 0, 1)], 10)) is None
 
 
 def test_render_smoke():
-    assert "x" in geometric("x", 4).render()
+    assert geometric(2).render() == "1 + x + x^2 + O(x^3)"
+    assert TruncatedSeries(3).render() == "0"
+    assert "x^20 + O(x^21)" in geometric(20).render()
