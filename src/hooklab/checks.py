@@ -683,16 +683,14 @@ def _run_E83(bounds):
 def _run_C81(bounds):
     order = bounds["order"]
     for alpha in range(bounds["max_alpha"] + 1):
-        lhs1 = partition_additive_series(
-            order, lambda cs, lam, a=alpha: _Q ** (cs.hook ** a)
-        )
+        # Hooks and parts of a partition of n <= order are at most order.
+        qpow = [_Q ** (h**alpha) for h in range(order + 1)]
+        lhs1 = partition_additive_series(order, lambda cs, lam: qpow[cs.hook])
         rhs1 = marked_power_rhs_series(order, alpha, weighted=True)
         w = _series_mismatch(lhs1, rhs1)
         if w:
             return _bad(f"alpha={alpha} hook display, {w}")
-        lhs2 = partition_additive_series(
-            order, lambda p, lam, a=alpha: _Q ** (p ** a), mode="parts"
-        )
+        lhs2 = partition_additive_series(order, lambda p, lam: qpow[p], mode="parts")
         rhs2 = marked_power_rhs_series(order, alpha, weighted=False)
         w = _series_mismatch(lhs2, rhs2)
         if w:

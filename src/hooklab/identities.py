@@ -123,7 +123,8 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     live = [key for key, scale in groups.items() if scale]
     for key, num in _prefix_products(live, ONE, lambda p, i: p * nums[i]):
         ds = tuple(sorted(den_of[i] for i in key if den_of[i] is not None))
-        classes[ds] = classes.get(ds, ZERO) + num * groups[key]
+        scale = groups[key]
+        classes[ds] = classes.get(ds, ZERO) + (num if scale == 1 else num * scale)
     den = Counter()
     for ds in classes:
         den |= Counter(ds)
@@ -528,12 +529,10 @@ def _validate_square(m: Matrix) -> int:
     return n
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two square integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def det_bareiss(m: Matrix) -> Fraction:
@@ -569,12 +568,19 @@ def det_bareiss(m: Matrix) -> Fraction:
 
 
 def power_traces(m: Matrix) -> list[Fraction]:
-    """tr(M), tr(M^2), ..., tr(M^n) for an n x n matrix M."""
+    """tr(M), tr(M^2), ..., tr(M^n) for an n x n matrix M.
+
+    M is scaled once by the lcm d of its entries' denominators, so the
+    powers are taken of the integer matrix A = d*M, and tr(M^k) is
+    tr(A^k) / d^k.
+    """
     n = _validate_square(m)
-    powers = [m]
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    powers = [a]
     for _ in range(n - 1):
-        powers.append(_mat_mul(powers[-1], m))
-    return [sum((p[i][i] for i in range(n)), Fraction(0)) for p in powers]
+        powers.append(_mat_mul(powers[-1], a))
+    return [Fraction(sum(p[i][i] for i in range(n)), d**k) for k, p in enumerate(powers, 1)]
 
 
 def cycle_index_sum(

@@ -2,11 +2,15 @@
 
 Every value in this package is an exact rational; nothing is ever rounded.
 A polynomial is stored as cont * prim: ``prim`` maps exponent vectors to
-nonzero ints whose gcd is 1, and ``cont`` is a positive Fraction (the zero
+nonzero ints whose gcd is 1, and ``cont`` is a positive rational, an int
+when it is integral and a Fraction with denominator > 1 otherwise (the zero
 polynomial is ({}, 1)).  That pair is unique for each polynomial, so ``==``
-is a data comparison.  By Gauss's lemma the product of two primitive
-polynomials is primitive, so a product multiplies ints and contents and
-never takes a gcd, and a scalar multiple only rescales the content.  The
+is a data comparison.  The views (``terms``, ``constant_term()``,
+``as_fraction()``, ``content()``, ``lex_leading()``, ``dense_coeffs()`` and
+``evaluate()``) return Fractions all the same, so a caller's ``/`` stays
+exact.  By Gauss's lemma the product of two primitive polynomials is
+primitive, so a product multiplies ints and contents and never takes a
+gcd, and a scalar multiple only rescales the content.  The
 variable set is fixed once for the whole package (VARIABLES), so exponent
 vectors built in different modules always line up and cross-module
 arithmetic needs no variable bookkeeping.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import ExponentOverflow, NotUnivariate
 
@@ -94,24 +98,17 @@ def _overflow(name: str, e: int) -> ExponentOverflow:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    # int first: a miss on Fraction goes through its slow ABC check.
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _fraction_content(values: Iterable[Fraction]) -> Fraction:
-    """Positive rational c such that value/c is an integer for every value,
-    with the integers collectively coprime."""
-    num_gcd = 0
-    den_lcm = 1
-    for f in values:
-        num_gcd = math.gcd(num_gcd, abs(f.numerator))
-        den_lcm = den_lcm * f.denominator // math.gcd(den_lcm, f.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
+def _norm(c: Scalar) -> Scalar:
+    """c in the form every content is kept in: an int when c is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def dense_prem(a: list, b: list) -> list:
@@ -143,7 +140,8 @@ def dense_linear_product(coeffs: list[int], r: int) -> list[int]:
 
 class MultiPoly:
     """Sparse polynomial over Q in the fixed variable set, kept as
-    cont * prim: a positive Fraction times a primitive integer term map."""
+    cont * prim: a positive rational (an int when integral, else a Fraction)
+    times a primitive integer term map.  Every view returns Fractions."""
 
     __slots__ = ("prim", "cont")
 
@@ -155,10 +153,10 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> MultiPoly:
-        c = _as_fraction(value)
+        c = value if type(value) is int else _norm(_as_fraction(value))
         if not c:
             return ZERO
-        if c.numerator > 0:
+        if c > 0:
             return _raw(_ONE_PRIM, c)
         return _raw(_MINUS_ONE_PRIM, -c)
 
@@ -189,7 +187,7 @@ class MultiPoly:
     def terms(self) -> dict[tuple, Fraction]:
         """The coefficients as {exponent: Fraction}; a fresh dict on each read."""
         cont = self.cont
-        return {_unpack(key): cont * c for key, c in self.prim.items()}
+        return {_unpack(key): _as_fraction(cont * c) for key, c in self.prim.items()}
 
     def is_zero(self) -> bool:
         return not self.prim
@@ -201,7 +199,7 @@ class MultiPoly:
         return not self.prim or (len(self.prim) == 1 and 0 in self.prim)
 
     def constant_term(self) -> Fraction:
-        return self.cont * self.prim.get(0, 0)
+        return _as_fraction(self.cont * self.prim.get(0, 0))
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -255,7 +253,7 @@ class MultiPoly:
                 out[exp] = s
             else:
                 del out[exp]
-        return _reduce(out, Fraction(gn, gd))
+        return _reduce(out, Fraction(gn, gd) if gd > 1 else gn)
 
     __radd__ = __add__
 
@@ -283,13 +281,13 @@ class MultiPoly:
             if not other or not self.prim:
                 return ZERO
             if other > 0:
-                return _raw(self.prim, self.cont * other)
-            return _raw(_negated(self.prim), self.cont * -other)
+                return _raw(self.prim, _norm(self.cont * other))
+            return _raw(_negated(self.prim), _norm(self.cont * -other))
         a, b = self.prim, other.prim
         if not a or not b:
             return ZERO
         ca, cb = self.cont, other.cont
-        cont = cb if ca == 1 else ca if cb == 1 else ca * cb
+        cont = cb if ca == 1 else ca if cb == 1 else _norm(ca * cb)
         if len(b) == 1 and 0 in b:
             return _raw(a if b[0] > 0 else _negated(a), cont)
         if len(a) == 1 and 0 in a:
@@ -320,6 +318,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if n == 0:
+            return ONE  # not the monomial branch: Fraction(1, 2) ** 0 is Fraction(1)
         if len(self.prim) == 1:
             # A monomial's primitive coefficient is 1 or -1.
             [(key, c)] = self.prim.items()
@@ -394,7 +394,7 @@ class MultiPoly:
         Raises NotUnivariate if any other variable appears.
         """
         cont = self.cont
-        return [cont * c for c in self.dense_prim(name)]
+        return [_as_fraction(cont * c) for c in self.dense_prim(name)]
 
     def dense_prim(self, name: str) -> list[int]:
         """dense_coeffs(name) over the content: coprime ints."""
@@ -438,7 +438,7 @@ class MultiPoly:
                 if e:
                     term *= _as_fraction(assignment[VARIABLES[i]]) ** e
             total += term
-        return self.cont * total
+        return _as_fraction(self.cont * total)
 
     # ----- leading terms, content, division -------------------------------
 
@@ -447,10 +447,10 @@ class MultiPoly:
         if not self.prim:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.prim)
-        return _unpack(key), self.cont * self.prim[key]
+        return _unpack(key), _as_fraction(self.cont * self.prim[key])
 
     def content(self) -> Fraction:
-        return self.cont
+        return _as_fraction(self.cont)
 
     def primitive(self) -> MultiPoly:
         """Divide out the rational content; leading (lex) coefficient made positive."""
@@ -492,15 +492,21 @@ def from_packed(terms: Mapping[int, Scalar]) -> MultiPoly:
     """The polynomial sum terms[key] x^key, over packed keys that the caller
     built from checked exponents; zero coefficients are dropped."""
     clean = {}
-    for key, coeff in terms.items():
-        c = _as_fraction(coeff)
+    for key, c in terms.items():
+        if type(c) is not int:
+            c = _norm(_as_fraction(c))
         if c:
             clean[key] = c
-    cont = _fraction_content(clean.values())
-    return _raw({key: (c / cont).numerator for key, c in clean.items()}, cont)
+    den = math.lcm(*(c.denominator for c in clean.values()))
+    if den == 1:
+        return _reduce(clean, 1)
+    return _reduce(
+        {key: c.numerator * (den // c.denominator) for key, c in clean.items()},
+        Fraction(1, den),
+    )
 
 
-def _raw(prim: dict, cont: Fraction) -> MultiPoly:
+def _raw(prim: dict, cont: Scalar) -> MultiPoly:
     """Wrap a pair that is already canonical; the dict is not copied."""
     r = MultiPoly.__new__(MultiPoly)
     r.prim = prim
@@ -508,21 +514,22 @@ def _raw(prim: dict, cont: Fraction) -> MultiPoly:
     return r
 
 
-def _reduce(ints: dict, scale: Fraction) -> MultiPoly:
-    """scale * sum ints[e] x^e, for nonzero ints and scale > 0."""
+def _reduce(ints: dict, scale: Scalar) -> MultiPoly:
+    """scale * sum ints[e] x^e, for nonzero ints and scale > 0 in the form
+    _norm gives."""
     if not ints:
         return ZERO
     g = math.gcd(*ints.values())
     if g == 1:
         return _raw(ints, scale)
-    return _raw({exp: c // g for exp, c in ints.items()}, scale * g)
+    return _raw({exp: c // g for exp, c in ints.items()}, _norm(scale * g))
 
 
 def _negated(prim: dict) -> dict:
     return {exp: -c for exp, c in prim.items()}
 
 
-_UNIT = Fraction(1)
+_UNIT = 1
 _ONE_PRIM = {0: 1}
 _MINUS_ONE_PRIM = {0: -1}
 ZERO = _raw({}, _UNIT)
@@ -572,7 +579,7 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
                 rem[exp] = s
             else:
                 del rem[exp]
-    return _raw(quotient, p.cont / d.cont)
+    return _raw(quotient, _norm(Fraction(p.cont, d.cont)))
 
 
 # ----- gcd ----------------------------------------------------------------

@@ -67,6 +67,22 @@ def test_csv_format(capsys):
     assert rows[1][4] == ""
 
 
+def test_text_and_csv_carry_the_json_witness_and_notes(capsys):
+    # C2.2a is refuted at n=10 with a witness and notes.  The CSV report has
+    # no notes column, so only the text line carries the notes.
+    run = ("run", "--id", "C2.2a", "--bound", "max_n=10", "--format")
+    _, out, _ = run_cli(capsys, *run, "json")
+    (entry,) = json.loads(out)["checks"]
+    assert entry["status"] == "refuted" and entry["witness"] and entry["notes"]
+    _, out, _ = run_cli(capsys, *run, "text")
+    head, _, tail = out.splitlines()[1].partition(" ms  ")
+    assert head.split()[:2] == ["C2.2a", "refuted"]
+    assert tail == f"witness: {entry['witness']}  ({entry['notes']})"
+    _, out, _ = run_cli(capsys, *run, "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:2] == ["C2.2a", "refuted"] and rows[1][4] == entry["witness"]
+
+
 def test_text_format_summary(capsys):
     code, out, _ = run_cli(capsys, "run", "--id", "L1.1", "--format", "text")
     assert code == 0

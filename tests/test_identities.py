@@ -837,6 +837,37 @@ def test_alternating_sign_flips_with_parity():
         assert alt == (det if n % 2 else -det)
 
 
+def _fraction_power_traces(m):
+    """Oracle: traces of M, M^2, ..., M^n, multiplied out in Fractions."""
+    n = len(m)
+    m = [[Fraction(x) for x in row] for row in m]
+    power, traces = m, []
+    for _ in range(n):
+        traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+        power = [
+            [sum((power[i][k] * m[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    return traces
+
+
+def test_power_traces_match_fraction_matrix_powers():
+    rng = random.Random(21)
+    # All-int entries, a common denominator 6, and ints mixed with Fractions.
+    entries = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), 6),
+        lambda: rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 7))]),
+    )
+    for n in range(1, 7):
+        for entry in entries:
+            for _ in range(3):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                traces = power_traces(m)
+                assert traces == _fraction_power_traces(m)
+                assert all(type(t) is Fraction for t in traces)
+
+
 def test_p71_computes_each_matrix_power_once(monkeypatch):
     # 50 matrices of sizes 1..6 need 126 products for M^2..M^n in all; the
     # two sign conventions share one list of power traces per matrix.

@@ -461,7 +461,7 @@ def slots(key):
 
 
 def assert_canonical(p):
-    assert type(p.cont) is Fraction and p.cont > 0
+    assert p.cont > 0 and (type(p.cont) is int or type(p.cont) is Fraction and p.cont.denominator > 1)
     assert all(type(c) is int and c for c in p.prim.values())
     for key in p.prim:
         assert type(key) is int and 0 <= key < 1 << (SLOT_BITS * NVARS)
@@ -653,6 +653,37 @@ def test_monomial_power_matches_repeated_product(mono):
         assert got.prim == want.prim and got.cont == want.cont
         assert got.render() == want.render()
     assert (mono**0).is_one()
+
+
+def test_a_fraction_content_to_the_power_zero_is_one():
+    # Fraction(1, 2) ** 0 is Fraction(1), an integral content that is no int.
+    for mono in (MultiPoly.const(Fraction(1, 2)), MultiPoly.monomial({"q": 3}, Fraction(-2, 3))):
+        p = mono**0
+        assert_canonical(p)
+        assert p.prim == ONE.prim and type(p.cont) is int and p.cont == 1
+
+
+def test_integral_contents_are_ints_and_views_are_fractions():
+    # Contents are ints where they are integral, but no view hands one out,
+    # so a caller's / never turns into float division.
+    polys = [
+        3 * T + 6,
+        T * Fraction(3, 2) * Fraction(2, 3),
+        (T / 2 + Q / 3) * 6,
+        T / 2 + Q,
+        MultiPoly.const(4),
+        MultiPoly.const(Fraction(-1, 2)),
+    ]
+    for p in polys:
+        assert_canonical(p)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert type(p.constant_term()) is Fraction
+        assert type(p.content()) is Fraction
+        assert type(p.lex_leading()[1]) is Fraction
+        assert type(p.evaluate({"t": 2, "q": 3})) is Fraction
+        assert all(type(c) is Fraction for c in p.subs("q", 1).dense_coeffs("t"))
+    assert [type(p.cont) for p in polys[:3]] == [int, int, int]
+    assert type(MultiPoly.const(4).as_fraction()) is Fraction
 
 
 @pytest.mark.parametrize(

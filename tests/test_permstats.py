@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
 from hooklab.multipoly import MultiPoly
 from hooklab.partitions import partition_list
 from hooklab.permstats import (
@@ -131,6 +133,12 @@ def test_involution_trace_moments():
                 sum(1 for i in range(n) if pi[i] == i) ** k for pi in invs
             )
             assert involution_trace_moment(n, k) == expected
+
+
+@pytest.mark.parametrize("n, k", [(-1, 0), (0, -1)])
+def test_involution_trace_moment_rejects_a_negative_argument(n, k):
+    with pytest.raises(ValueError):
+        involution_trace_moment(n, k)
 
 
 def test_involution_egf_matches_counts():
