@@ -110,6 +110,13 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
+def _fraction_sum(terms) -> Fraction:
+    """The sum of c/d over the (c, d) pairs, added in ints over the lcm of the d's."""
+    terms = list(terms)
+    common = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(c * (common // d) for c, d in terms), common)
+
+
 def _linear(content, power):
     """linear_product_sum factors of prod_u (t + content(lam, u))/h_u^power."""
     return lambda lam: (
@@ -121,8 +128,9 @@ def _linear(content, power):
 def _constant(content, power):
     """linear_product_sum factors of prod_u (content(lam, u)/h_u)^power: no shifts."""
     return lambda lam: ((), Fraction(
-        math.prod(content(lam, i, j) for i, j in lam.cells()), math.prod(lam.hook_lengths())
-    ) ** power)
+        math.prod(content(lam, i, j) for i, j in lam.cells()) ** power,
+        math.prod(lam.hook_lengths()) ** power,
+    ))
 
 
 # ----- descent polynomials ---------------------------------------------
@@ -709,18 +717,11 @@ def _run_P82(bounds):
     if w:
         return _bad(f"marked-part display, {w}")
     for n in range(bounds["max_n"] + 1):
-        lhs = Fraction(0)
-        rhs = Fraction(0)
-        for lam in partition_list(n):
-            for p in lam.parts:
-                if p != 1:
-                    lhs += Fraction(1, p - 1)
-            for h in lam.hook_lengths():
-                if h != 1:
-                    rhs += Fraction(1, h * (h - 1))
+        parts_count, hooks_count = hook_part_census(n)
+        lhs = _fraction_sum((c, p - 1) for p, c in parts_count.items() if p != 1)
+        rhs = _fraction_sum((c, h * (h - 1)) for h, c in hooks_count.items() if h != 1)
         if lhs != rhs:
             return _bad(f"reciprocal display at n={n}: {lhs} vs {rhs}")
-        parts_count, hooks_count = hook_part_census(n)
         for i in sorted(set(parts_count) | set(hooks_count)):
             if i * parts_count.get(i, 0) != hooks_count.get(i, 0):
                 return _bad(f"census at n={n}, value {i}")

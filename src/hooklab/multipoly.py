@@ -280,9 +280,13 @@ class MultiPoly:
             # A scalar only rescales the content (and flips signs if negative).
             if not other or not self.prim:
                 return ZERO
-            if other > 0:
-                return _raw(self.prim, _norm(self.cont * other))
-            return _raw(_negated(self.prim), _norm(self.cont * -other))
+            # The sign is read from the numerator and the Fraction goes on the
+            # left: Fraction > 0 and int * Fraction each make an ABC check.
+            prim = self.prim
+            if other.numerator < 0:
+                prim, other = _negated(prim), -other
+            cont = self.cont * other if isinstance(other, int) else other * self.cont
+            return _raw(prim, _norm(cont))
         a, b = self.prim, other.prim
         if not a or not b:
             return ZERO

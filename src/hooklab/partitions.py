@@ -378,10 +378,55 @@ def _semigroup_gaps(s: int) -> list[int]:
 
 
 def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
-    """Partition whose first-column hook set is the given set of positive ints."""
+    """Partition whose first-column hook set is the given set of positive ints.
+
+    Distinct positive ints b_1 > ... > b_L give parts b_k - (L - k) that are
+    positive and weakly decreasing, so the parts are not checked again.
+    """
     desc = sorted(beta, reverse=True)
     L = len(desc)
-    return Partition([b - (L - idx) for idx, b in enumerate(desc, start=1)])
+    return _trusted(tuple(b - (L - idx) for idx, b in enumerate(desc, start=1)))
+
+
+def _family(s: int, members: list[Partition]) -> CoreFamily:
+    """The family in order of size, then of parts in reverse-lexicographic order."""
+    # Two stable sorts: by parts, largest first, then by size.
+    members.sort(key=operator.attrgetter("parts"), reverse=True)
+    members.sort(key=operator.attrgetter("n"))
+    return CoreFamily(s, tuple(members))
+
+
+def _beta_walk(s: int, budget: int) -> CoreFamily:
+    """The (s, s+1, s+2)-cores, by the walk enumerate_sss_cores describes."""
+    # Bit 0 and the bits of non-gaps are never set in a beta-set, so a gap
+    # g with g - st = 0 or a non-gap for some step st is never taken.  The
+    # gaps that no core takes (about half) are dropped first: a gap is kept
+    # when the kept gaps below it cover its need mask.
+    gaps, needs, kept = [], [], 0
+    for g in _semigroup_gaps(s):
+        need = sum(1 << (g - st) for st in (s, s + 1, s + 2) if st <= g)
+        if kept & need == need:
+            gaps.append(g)
+            needs.append(need)
+            kept |= 1 << g
+    members = []
+    stack = [(0, 0)]
+    while stack:
+        i, beta = stack.pop()
+        # beta itself is a core: the gaps from i on are all skipped.  Each
+        # gap from i on that beta admits starts a branch that takes it next.
+        if len(members) == budget:
+            raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
+        members.append(_partition_from_beta([g for g in gaps if beta >> g & 1]))
+        for j in range(i, len(gaps)):
+            need = needs[j]
+            if beta & need == need:
+                stack.append((j + 1, beta | 1 << gaps[j]))
+    return _family(s, members)
+
+
+#: The beta walk's family for each s walked so far in this process.
+_core_families: dict[int, CoreFamily] = {}
 
 
 def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> CoreFamily:
@@ -389,50 +434,46 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
 
     method="beta" walks first-column hook sets: the subsets of the gaps of
     <s, s+1> closed under subtracting s, s+1 and s+2, i.e. the order ideals
-    of the gap poset.  An iterative depth-first walk over the gaps in
-    ascending order may always skip a gap and takes one only when the gaps
-    below it by s, s+1 and s+2 are taken, so it reaches each closed set
-    exactly once and nothing else.  `budget` caps the number of cores found.
+    of the gap poset.  The beta-set is an int bitmask (bit g for gap g), and
+    each gap has a precomputed need mask, the bits of g - s, g - s - 1 and
+    g - s - 2 at or above 0, so "may g be taken" is one `&` test.  An
+    iterative depth-first walk over the gaps in ascending order starts from
+    the empty set; each state it pops is one core (every later gap
+    skipped), and it pushes one state per later gap that the core admits,
+    that gap taken and the gaps between skipped.  So it reaches each closed
+    set exactly once and nothing else.  `budget` caps the number of cores
+    found.  The family of each s is memoised for the life of the process,
+    so C11.1, C11.2 and C11.3 walk each s once between them.  The budget
+    holds for a memoised family too: a call whose budget is below the
+    family's size raises BudgetExceeded whether or not the family is
+    memoised, and a walk that raises memoises nothing.
 
     method="filter" brute-forces every partition of every n up to the exact
     (s, s+1)-core size bound and keeps the triple cores; transparently
     correct, used to cross-validate the beta walk at small s.  `budget` caps
-    the partitions scanned.  Either method raises BudgetExceeded past it.
+    the partitions scanned.  It memoises nothing.  Either method raises
+    BudgetExceeded past its budget.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    members = []
     if method == "beta":
-        gaps = _semigroup_gaps(s)
-        steps = (s, s + 1, s + 2)
-        stack = [(0, ())]
-        while stack:
-            i, chosen = stack.pop()
-            if i == len(gaps):
-                if len(members) == budget:
-                    raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
-                members.append(_partition_from_beta(chosen))
-                continue
-            g = gaps[i]
-            stack.append((i + 1, chosen))
-            if all(g < st or g - st in chosen for st in steps):
-                stack.append((i + 1, chosen + (g,)))
-    elif method == "filter":
-        bound = sss_core_size_bound(s)
-        total = sum(partition_count(k) for k in range(bound + 1))
-        if total > budget:
-            raise BudgetExceeded(
-                f"filter enumeration would scan {total} partitions, over budget {budget}"
-            )
-        for size in range(bound + 1):
-            for lam in partitions_of(size):
-                if (
-                    is_t_core(lam, s)
-                    and is_t_core(lam, s + 1)
-                    and is_t_core(lam, s + 2)
-                ):
-                    members.append(lam)
-    else:
+        family = _core_families.get(s)
+        if family is None:
+            family = _core_families[s] = _beta_walk(s, budget)
+        if family.count > budget:
+            raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
+        return family
+    if method != "filter":
         raise ValueError(f"unknown enumeration method {method!r}")
-    members.sort(key=lambda p: (p.n, tuple(-x for x in p.parts)))
-    return CoreFamily(s, tuple(members))
+    bound = sss_core_size_bound(s)
+    total = sum(partition_count(k) for k in range(bound + 1))
+    if total > budget:
+        raise BudgetExceeded(
+            f"filter enumeration would scan {total} partitions, over budget {budget}"
+        )
+    members = []
+    for size in range(bound + 1):
+        for lam in partitions_of(size):
+            if is_t_core(lam, s) and is_t_core(lam, s + 1) and is_t_core(lam, s + 2):
+                members.append(lam)
+    return _family(s, members)

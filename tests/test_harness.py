@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hooklab import harness
+from hooklab import harness, partitions
 from hooklab.errors import UnknownCheck
 from hooklab.harness import (
     Check,
@@ -120,6 +120,21 @@ def test_core_checks_reject_empty_range(cid):
 def test_core_checks_verified_past_the_old_subset_budget(cid):
     result = run_check(cid, {"max_s": 10})
     assert result.status == "verified", result.notes
+
+
+def test_core_checks_share_one_walk_per_s(monkeypatch):
+    walked = []
+    walk = partitions._beta_walk
+
+    def counted(s, budget):
+        walked.append(s)
+        return walk(s, budget)
+
+    monkeypatch.setattr(partitions, "_core_families", {})
+    monkeypatch.setattr(partitions, "_beta_walk", counted)
+    for cid in ("C11.1", "C11.2", "C11.3"):
+        assert run_check(cid, {"max_s": 7}).status == "verified"
+    assert walked == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_bound_override_merging():

@@ -14,7 +14,7 @@ from itertools import chain
 import pytest
 
 from hooklab import identities
-from hooklab.checks import _constant, _linear
+from hooklab.checks import _constant, _fraction_sum, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
 from hooklab.harness import run_check
 from hooklab.identities import (
@@ -52,6 +52,7 @@ from hooklab.multipoly import MultiPoly, ONE
 from hooklab.partitions import (
     Partition,
     cell_stats,
+    hook_part_census,
     partition_count,
     partition_list,
     rr_sets,
@@ -720,6 +721,18 @@ def test_power_sum_series_against_direct_sums():
     for rhs, summand, mode in cases:
         direct = partition_additive_series(10, summand, mode=mode)
         assert rhs.first_difference(direct) is None, (mode, rhs)
+
+
+def test_reciprocal_sums_over_the_census_match_term_by_term_sums():
+    # P8.2's two sides, over the census, against one Fraction per part or hook
+    assert _fraction_sum([]) == 0
+    for n in range(13):
+        parts_count, hooks_count = hook_part_census(n)
+        lams = partition_list(n)
+        lhs = sum(Fraction(1, p - 1) for lam in lams for p in lam.parts if p != 1)
+        rhs = sum(Fraction(1, h * (h - 1)) for lam in lams for h in lam.hook_lengths() if h != 1)
+        assert _fraction_sum((c, p - 1) for p, c in parts_count.items() if p != 1) == lhs
+        assert _fraction_sum((c, h * (h - 1)) for h, c in hooks_count.items() if h != 1) == rhs
 
 
 # ----- involution census -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hooklab import partitions
 from hooklab.errors import BudgetExceeded
 from hooklab.partitions import (
     Partition,
@@ -289,3 +290,32 @@ def test_beta_walk_budget_caps_cores_found():
     # 990 gaps: the walk must not recurse once per gap
     with pytest.raises(BudgetExceeded):
         enumerate_sss_cores(45, budget=10)
+
+
+@pytest.fixture
+def no_families(monkeypatch):
+    """An empty family memo for the test, so every s is walked afresh."""
+    families = {}
+    monkeypatch.setattr(partitions, "_core_families", families)
+    return families
+
+
+def test_a_memoised_family_still_obeys_the_budget(no_families):
+    family = enumerate_sss_cores(4)
+    assert no_families == {4: family}
+    assert enumerate_sss_cores(4) is family
+    assert enumerate_sss_cores(4, budget=9) is family
+    with pytest.raises(BudgetExceeded):
+        enumerate_sss_cores(4, budget=8)
+
+
+def test_a_walk_over_budget_memoises_nothing(no_families):
+    with pytest.raises(BudgetExceeded):
+        enumerate_sss_cores(4, budget=8)
+    assert no_families == {}
+    assert enumerate_sss_cores(4).count == 9
+
+
+def test_the_filter_method_bypasses_the_memo(no_families):
+    assert enumerate_sss_cores(3, method="filter").count == 4
+    assert no_families == {}
