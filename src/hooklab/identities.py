@@ -77,16 +77,10 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     other weight is a MultiPoly or RatFunc object (a float or other inexact
     weight raises TypeError), and partitions are grouped by the multiset of
     these objects, by identity (numbered in order of first appearance), with
-    their scalars summed.  Multisets whose scalars sum to 0 are skipped; the
-    others are walked with _prefix_products, so each product of numerators
-    extends the one for a prefix it shares with another multiset.  A weight
-    that returns one shared object per value (a table or a memoised
+    their scalars summed; _multiset_product_sum adds up the groups.  A
+    weight that returns one shared object per value (a table or a memoised
     function) gets this sharing; fresh objects give the same sum but share
-    nothing.  Products with equal denominators are added first.  Each such
-    class is then brought over prod f^(largest multiplicity) of the
-    denominator factors f by the product of the factors it lacks, walked the
-    same way, and only the final quotient is reduced: the result is a
-    MultiPoly when the denominators divide out, else a RatFunc.
+    nothing.
     """
     index, objects, groups = {}, [], {}  # objects keeps every id distinct for the call
     for lam in partition_list(n):
@@ -111,6 +105,22 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
                 raise TypeError(f"cannot use {type(w).__name__} as an exact cell weight")
         key = tuple(sorted(key))
         groups[key] = groups.get(key, 0) + scale
+    return _multiset_product_sum(groups, objects)
+
+
+def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFunc:
+    """sum over the multisets of scale * prod of objects[i] over the multiset.
+
+    groups maps each multiset, a sorted tuple of indices into objects (each
+    a MultiPoly or RatFunc), to its summed int or Fraction scale.  Multisets
+    whose scales sum to 0 are skipped; the others are walked with
+    _prefix_products, so each product of numerators extends the one for a
+    prefix it shares with another multiset.  Products with equal
+    denominators are added first, and _over_common_denominator brings the
+    classes over prod f^(largest multiplicity) of the denominator factors
+    f.  Only the final quotient is reduced: the result is a MultiPoly when
+    the denominators divide out, else a RatFunc.
+    """
     nums, den_of, dens = [], [], {}  # per object: numerator, denominator index; den -> index
     for w in objects:
         if isinstance(w, MultiPoly):
@@ -129,11 +139,32 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     for ds in classes:
         den |= Counter(ds)
     polys = list(dens)
-    lacking = {tuple(sorted((den - Counter(ds)).elements())): ds for ds in classes}
-    total = ZERO
-    for rest, factor in _prefix_products(lacking, ONE, lambda p, d: p * polys[d]):
-        total = total + classes[lacking[rest]] * factor
+    total = _over_common_denominator(classes, polys, den, 0)
     return total / math.prod((polys[d] ** m for d, m in den.items()), start=ONE)
+
+
+def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -> MultiPoly:
+    """sum of N_c * prod over f >= d of polys[f]^(den[f] - m_c(f)) over the
+    classes c (sorted tuples of denominator indices, m_c(f) the count of f
+    in c, N_c the summed numerator), by Horner's rule in each factor in turn.
+
+    The classes are grouped by their multiplicity j of factor d, and
+    acc = acc * polys[d] + (the sum for group j over the later factors) for
+    j = 0..den[d], so group j is multiplied by polys[d] exactly
+    den[d] - j times, one small factor at a time.  Past the last factor the
+    classes left agree on every multiplicity, so there is at most one.
+    """
+    if d == len(polys):
+        return sum(classes.values(), ZERO)
+    by_j = {}
+    for ds, num in classes.items():
+        by_j.setdefault(ds.count(d), {})[ds] = num
+    f, acc = polys[d], ZERO
+    for j in range(den[d] + 1):
+        acc = acc * f
+        if j in by_j:
+            acc = acc + _over_common_denominator(by_j[j], polys, den, d + 1)
+    return acc
 
 
 def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
@@ -231,20 +262,51 @@ def hook_square_polynomial(n: int) -> MultiPoly:
 
 def _shifted_hooks(n: int) -> list[MultiPoly]:
     """[(t + h)/h for h = 0..n]; entry 0 is unused.  One object per h, so
-    partition_product_sum multiplies each multiset of hooks once."""
+    each multiset of hooks is multiplied out once."""
     t = MultiPoly.var("t")
     return [ONE] + [(t + h) * Fraction(1, h) for h in range(1, n + 1)]
 
 
+def _arm_free_hooks(lam: Partition) -> list[int]:
+    """Hooks of the arm-free cells, one per row: row i ends in column p_i,
+    whose leg is conj[p_i - 1] - i."""
+    conj = lam.conjugate().parts
+    return [conj[p - 1] - i + 1 for i, p in enumerate(lam.parts, start=1)]
+
+
+def _leg_free_hooks(lam: Partition) -> list[int]:
+    """Hooks of the leg-free cells, one per column: column j ends in row c_j,
+    whose arm is parts[c_j - 1] - j."""
+    parts = lam.parts
+    return [parts[c - 1] - j + 1 for j, c in enumerate(lam.conjugate().parts, start=1)]
+
+
+def _free_hook_sum(n: int, hooks: Callable) -> MultiPoly:
+    """sum over lambda |- n of prod of (t + h)/h over h in hooks(lambda).
+
+    Partitions are grouped by their sorted hooks, which index the shared
+    table _shifted_hooks(n), and _multiset_product_sum adds up the groups."""
+    groups = {}
+    for lam in partition_list(n):
+        key = tuple(sorted(hooks(lam)))
+        groups[key] = groups.get(key, 0) + 1
+    return _multiset_product_sum(groups, _shifted_hooks(n))
+
+
 def arm_zero_sum(n: int) -> MultiPoly:
-    """sum over lambda of prod over arm-free cells of (h_u + t)/h_u."""
-    table = _shifted_hooks(n)
-    return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.arm == 0 else 1)
+    """sum over lambda of prod over arm-free cells of (h_u + t)/h_u.
+
+    Each row holds one arm-free cell, its last, so the hooks are read one
+    per row (_arm_free_hooks) instead of from every cell."""
+    return _free_hook_sum(n, _arm_free_hooks)
 
 
 def leg_zero_sum(n: int) -> MultiPoly:
-    table = _shifted_hooks(n)
-    return partition_product_sum(n, lambda cs, lam: table[cs.hook] if cs.leg == 0 else 1)
+    """sum over lambda of prod over leg-free cells of (h_u + t)/h_u.
+
+    Each column holds one leg-free cell, its bottom one, so the hooks are
+    read one per column (_leg_free_hooks)."""
+    return _free_hook_sum(n, _leg_free_hooks)
 
 
 def multiplicity_binomial_sum(n: int) -> MultiPoly:
@@ -546,7 +608,8 @@ def det_bareiss(m: Matrix) -> Fraction:
     n = _validate_square(m)
     a, scale = [], 1
     for row in m:
-        row = [Fraction(x) for x in row]
+        # An int or Fraction is read as it is: Fraction(x) of one makes an ABC check.
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         d = math.lcm(*(x.denominator for x in row))
         a.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d

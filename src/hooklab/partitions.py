@@ -50,17 +50,9 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
         return NotImplemented
 
     def __hash__(self):
@@ -274,8 +266,32 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 @lru_cache(maxsize=None)
 def partition_list(n: int) -> tuple[Partition, ...]:
-    """Cached tuple of partitions of n (reverse-lexicographic)."""
-    return tuple(partitions_of(n))
+    """Cached tuple of partitions of n (reverse-lexicographic), built from
+    the cached lists of smaller n.
+
+    The partitions of n with largest part k are k followed by a partition
+    of n - k whose largest part is at most k.  In reverse-lexicographic
+    order those are a suffix of partition_list(n - k), found by bisecting
+    on the first part, so the list for n joins these suffixes for
+    k = n, n - 1, ..., 1.  The order is that of partitions_of(n), the lazy
+    generator that keeps no lists.
+    """
+    if n < 0:
+        raise ValueError("partitions of a negative integer")
+    if n == 0:
+        return (EMPTY,)
+    out = [_trusted((n,))]
+    for k in range(n - 1, 0, -1):
+        rest = partition_list(n - k)
+        lo, hi = 0, len(rest)
+        while lo < hi:  # the first partition of n - k whose largest part is <= k
+            mid = (lo + hi) // 2
+            if rest[mid].parts[0] > k:
+                lo = mid + 1
+            else:
+                hi = mid
+        out.extend(_trusted((k,) + mu.parts) for mu in rest[lo:])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

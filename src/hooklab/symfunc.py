@@ -70,14 +70,14 @@ def schur_poly(shape, m: int) -> MultiPoly:
         raise BudgetExceeded(f"shape with {lam.n} cells exceeds the cap of {_MAX_CELLS}")
     if len(lam.parts) > m:
         return ZERO
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}  # fillings per monomial
     for filling in _rows(lam.parts, m):
         exp = [0] * NVARS
         for row in filling:
             for v in row:
                 exp[_Y_INDICES[v - 1]] += 1
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + 1
+        terms[key] = terms.get(key, 0) + 1
     if not terms:
         return ONE  # empty shape: the single empty filling
     return MultiPoly(terms)
@@ -91,12 +91,12 @@ def elementary_poly(j: int, m: int) -> MultiPoly:
         raise BudgetExceeded(f"variable count {m} outside 1..{MAX_VARS}")
     if j > m:
         return ZERO
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}
     for subset in combinations(_Y_INDICES[:m], j):
         exp = [0] * NVARS
         for i in subset:
             exp[i] = 1
-        terms[tuple(exp)] = Fraction(1)
+        terms[tuple(exp)] = 1
     return MultiPoly(terms)
 
 

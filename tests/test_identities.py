@@ -48,7 +48,7 @@ from hooklab.identities import (
     top_hook_series,
     unit_hook_series,
 )
-from hooklab.multipoly import MultiPoly, ONE
+from hooklab.multipoly import MultiPoly, ONE, RatFunc
 from hooklab.partitions import (
     Partition,
     cell_stats,
@@ -360,13 +360,12 @@ def test_prefix_walk_steps_once_per_distinct_prefix(monkeypatch):
     assert hook_square_polynomial.__wrapped__(n) == want
     assert len(steps) == _distinct_prefixes(hook_squares) < sum(map(len, hook_squares))
 
-    # arm_zero_sum numbers its shared (t + h)/h objects in order of first
-    # appearance; there are no denominators, so only the numerators walk.
+    # arm_zero_sum keys its shared (t + h)/h objects by the hook h; there
+    # are no denominators, so only the numerators walk.
     steps = _counted_walks(monkeypatch)
-    first, arm_free = {}, set()
+    arm_free = set()
     for lam in partition_list(n):
-        hooks = [cs.hook for cs in cell_stats(lam) if cs.arm == 0]
-        arm_free.add(tuple(sorted(first.setdefault(h, len(first)) for h in hooks)))
+        arm_free.add(tuple(sorted(cs.hook for cs in cell_stats(lam) if cs.arm == 0)))
     assert arm_zero_sum(n) == _per_cell_oracle(n, _shifted_hook, lambda cs: cs.arm == 0)
     assert len(steps) == _distinct_prefixes(arm_free) < sum(map(len, arm_free))
 
@@ -614,6 +613,54 @@ def test_hook_tables_match_per_cell_oracle():
             want = _per_cell_oracle(n, _shifted_hook, keep)
             assert got == want
             assert got.render() == want.render()
+
+
+def test_free_hooks_are_the_hooks_of_arm_free_and_leg_free_cells():
+    for n in range(15):
+        for lam in partition_list(n):
+            cells = cell_stats(lam)
+            assert sorted(identities._arm_free_hooks(lam)) == sorted(
+                cs.hook for cs in cells if cs.arm == 0
+            )
+            assert sorted(identities._leg_free_hooks(lam)) == sorted(
+                cs.hook for cs in cells if cs.leg == 0
+            )
+
+
+# Shared weights over two denominators: T + 1 on hooks divisible by 3 and
+# T^2 + 2 on hooks 1 mod 3; hooks 2 mod 3 give a Fraction.  Over n = 4, (3,1)
+# has hooks 4, 2, 1, 1, so T^2 + 2 three times and no T + 1, which (4) has.
+_DENOMINATORS = (T + 1, T * T + 2)
+_RATIONAL_HOOKS = {
+    h: (T + h) / _DENOMINATORS[0] if h % 3 == 0 else (T - h) / _DENOMINATORS[1]
+    for h in range(1, 10)
+}
+
+
+def _rational_hook(cs, lam):
+    return Fraction(1, cs.hook) if cs.hook % 3 == 2 else _RATIONAL_HOOKS[cs.hook]
+
+
+def test_product_sum_over_shared_denominators_matches_ratfunc_sum():
+    repeated = lacking = False
+    for n in range(10):
+        dens = []
+        for lam in partition_list(n):
+            weights = [_rational_hook(cs, lam) for cs in cell_stats(lam)]
+            dens.append(Counter(w.den for w in weights if isinstance(w, RatFunc)))
+        repeated |= any(m > 1 for c in dens for m in c.values())
+        lacking |= any(set(a) - set(b) for a in dens for b in dens)
+        want = MultiPoly.const(0)
+        for lam in partition_list(n):
+            prod = ONE
+            for cs in cell_stats(lam):
+                prod = prod * _rational_hook(cs, lam)
+            want = want + prod
+        got = partition_product_sum(n, _rational_hook)
+        assert got == want, n
+        assert got.render() == want.render()
+    assert set(dens[0]) == set(_DENOMINATORS)
+    assert repeated and lacking
 
 
 def test_product_sum_rejects_inexact_weights():

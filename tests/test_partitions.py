@@ -51,6 +51,15 @@ def test_enumeration_is_reverse_lexicographic_and_duplicate_free():
         assert all(sum(p) == n for p in lams)
 
 
+def test_partition_list_equals_the_generator_part_for_part():
+    for n in range(31):
+        assert [lam.parts for lam in partition_list(n)] == [
+            lam.parts for lam in partitions_of(n)
+        ]
+    with pytest.raises(ValueError):
+        partition_list(-1)
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition([2, 3])
