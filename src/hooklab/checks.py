@@ -117,20 +117,24 @@ def _fraction_sum(terms) -> Fraction:
     return Fraction(sum(c * (common // d) for c, d in terms), common)
 
 
-def _linear(content, power):
-    """linear_product_sum factors of prod_u (t + content(lam, u))/h_u^power."""
+def _linear(contents, power):
+    """linear_product_sum factors of prod_u (t + a_u)/h_u^power, where
+    contents(lam) gives a_u for every cell u."""
     return lambda lam: (
-        [content(lam, i, j) for i, j in lam.cells()],
-        Fraction(1, math.prod(lam.hook_lengths()) ** power),
+        contents(lam), Fraction(1, math.prod(lam.hook_lengths()) ** power)
     )
 
 
-def _constant(content, power):
-    """linear_product_sum factors of prod_u (content(lam, u)/h_u)^power: no shifts."""
+def _constant(contents, power):
+    """linear_product_sum factors of prod_u (a_u/h_u)^power: no shifts."""
     return lambda lam: ((), Fraction(
-        math.prod(content(lam, i, j) for i, j in lam.cells()) ** power,
-        math.prod(lam.hook_lengths()) ** power,
+        math.prod(contents(lam)) ** power, math.prod(lam.hook_lengths()) ** power
     ))
+
+
+def _contents(lam):
+    """The content j - i of every cell (i, j), row by row."""
+    return [j - i for i, p in enumerate(lam.parts, start=1) for j in range(1, p + 1)]
 
 
 # ----- descent polynomials ---------------------------------------------
@@ -384,7 +388,7 @@ def _run_X32(bounds):
 
 def _run_X33(bounds):
     order = bounds["order"]
-    prod = linear_product_series(order, _linear(lambda lam, i, j: j - i, 1))
+    prod = linear_product_series(order, _linear(_contents, 1))
     closed = binomial_series(_T, order) * binomial_series(
         binomial_poly(_T, 2), order, deg=2
     )
@@ -395,7 +399,7 @@ def _run_X33(bounds):
 
 def _run_X34(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = linear_product_sum(n, _linear(lambda lam, i, j: j - i, 2))
+        total = linear_product_sum(n, _linear(_contents, 2))
         if total != _T ** n * Fraction(1, math.factorial(n)):
             return _bad(f"n={n}: {total.render()}")
     return _ok()
@@ -545,8 +549,8 @@ def _run_C52(bounds):
 
 def _run_P61(bounds):
     for n in range(bounds["max_n"] + 1):
-        sp = linear_product_sum(n, _constant(Partition.symplectic_content, 1)).as_fraction()
-        oc = linear_product_sum(n, _constant(Partition.orthogonal_content, 1)).as_fraction()
+        sp = linear_product_sum(n, _constant(Partition.symplectic_contents, 1)).as_fraction()
+        oc = linear_product_sum(n, _constant(Partition.orthogonal_contents, 1)).as_fraction()
         if sp != oc:
             return _bad(f"n={n}: {sp} vs {oc}")
     return _ok()
@@ -556,7 +560,7 @@ def _run_C62a(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = linear_product_series(order, _linear(Partition.symplectic_content, 1))
+    lhs = linear_product_series(order, _linear(Partition.symplectic_contents, 1))
     rhs = eta_product(
         [(8, 0, -c2), (8, 2, c2 - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2m - 1)), (8, 6, c2m - 1)],
         order,
@@ -569,7 +573,7 @@ def _run_C62b(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = linear_product_series(order, _linear(Partition.orthogonal_content, 1))
+    lhs = linear_product_series(order, _linear(Partition.orthogonal_contents, 1))
     rhs = eta_product(
         [(8, 0, -c2m), (8, 6, c2m - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2 - 1)), (8, 2, c2 - 1)],
         order,
@@ -580,7 +584,7 @@ def _run_C62b(bounds):
 
 def _run_C62c(bounds):
     order = bounds["order"]
-    lhs = linear_product_series(order, _constant(Partition.symplectic_content, 1))
+    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 1))
     rhs = eta_product([(4, 2, 1, True)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -593,10 +597,10 @@ def _run_C62c(bounds):
 def _run_C63a(bounds):
     order = bounds["order"]
     sp = linear_product_series(
-        order, _linear(lambda lam, i, j: lam.symplectic_content(i, j) ** 2, 2)
+        order, _linear(lambda lam: [a * a for a in lam.symplectic_contents()], 2)
     )
     oc = linear_product_series(
-        order, _linear(lambda lam, i, j: lam.orthogonal_content(i, j) ** 2, 2)
+        order, _linear(lambda lam: [a * a for a in lam.orthogonal_contents()], 2)
     )
     rhs = eta_product([(4, 2, 1), (1, 0, _T)], order)
     w = _series_mismatch(sp, oc) or _series_mismatch(sp, rhs)
@@ -605,7 +609,7 @@ def _run_C63a(bounds):
 
 def _run_C63b(bounds):
     order = bounds["order"]
-    lhs = linear_product_series(order, _constant(Partition.symplectic_content, 2))
+    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 2))
     rhs = eta_product([(4, 2, 1)], order)
     w = _series_mismatch(lhs, rhs)
     return _bad(w) if w else _ok()
@@ -617,7 +621,7 @@ def _run_C63c(bounds):
         rhs = 0
         for lam in partition_list(n):
             f = lam.dim_sytx()
-            prod = math.prod(lam.symplectic_content(i, j) for i, j in lam.cells())
+            prod = math.prod(lam.symplectic_contents())
             lhs += f * f * prod * prod
             rhs += f * prod
         sign = -1 if (n * (n - 1) // 2) % 2 else 1

@@ -325,14 +325,11 @@ def max_unit_hooks(n: int) -> int:
 
     A cell has hook length 1 exactly when its arm and leg are 0: it ends its
     row and the row below is shorter.  So each row longer than the next one
-    holds one such cell.
+    holds one such cell, and those rows are the last of each distinct part.
     """
     if n == 0:
         return 0
-    return max(
-        sum(map(operator.gt, lam.parts, lam.parts[1:] + (0,)))
-        for lam in partition_list(n)
-    )
+    return max(len(set(lam.parts)) for lam in partition_list(n))
 
 
 def unit_hook_series(order: int, corrected: bool = False) -> TruncatedSeries:
@@ -655,18 +652,24 @@ def cycle_index_sum(
     from power_traces(M); "alternating" uses (-1)^(cycles - 1).  Both sum
     over the partitions of n read as cycle lengths, weighted by their class
     sizes, never permutation by permutation.
+
+    The sum runs in ints: with D the lcm of the traces' denominators,
+    a_j = t_j D^j is an integer, and since the parts of each lambda sum to
+    n, prod_{j in lambda} t_j = prod_{j in lambda} a_j / D^n.
     """
     if sign_convention not in ("newton", "alternating"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
     n = len(traces)
-    total = Fraction(0)
+    d = math.lcm(*(t.denominator for t in traces))
+    a = [t.numerator * (d**j // t.denominator) for j, t in enumerate(traces, start=1)]
+    total = 0
     for lam in partition_list(n):
-        prod = Fraction(1)
+        prod = 1
         for j in lam.parts:
-            prod *= traces[j - 1]
+            prod *= a[j - 1]
         if sign_convention == "newton":
             sign = -1 if (n - len(lam)) % 2 else 1
         else:
             sign = -1 if (len(lam) - 1) % 2 else 1
         total += sign * lam.class_size * prod
-    return total / math.factorial(n)
+    return Fraction(total, d**n * math.factorial(n))

@@ -9,6 +9,10 @@ Conventions (all 1-based):
     formulas, reading any index beyond the diagram as 0;
   * cell_stats gives each cell's CellStats: i, j, arm, leg, hook, content.
 
+A statistic of every cell comes in row-major cell order, computed in one
+pass over the diagram; hook_lengths and cell_stats are computed once per
+Partition object and kept on it, as conjugate is.
+
 Partitions of n are enumerated in reverse-lexicographic order, (n) first and
 (1, ..., 1) last.  That order is part of the contract: checks report the
 first counterexample they meet, so witnesses are reproducible.
@@ -32,7 +36,7 @@ class Partition:
     raises TypeError instead of being truncated or parsed.
     """
 
-    __slots__ = ("parts", "_conj")
+    __slots__ = ("parts", "_conj", "_hooks", "_stats")
 
     def __init__(self, parts=()):
         parts = tuple(map(operator.index, parts))
@@ -41,7 +45,7 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts
-        self._conj = None
+        self._conj = self._hooks = self._stats = None
 
     @property
     def n(self) -> int:
@@ -91,14 +95,16 @@ class Partition:
         conj = self.conjugate().parts
         return self.parts[i - 1] + conj[j - 1] - i - j + 1
 
-    def hook_lengths(self) -> list[int]:
-        """All hook lengths, row by row."""
-        conj = self.conjugate().parts
-        out = []
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                out.append(p + conj[j - 1] - i - j + 1)
-        return out
+    def hook_lengths(self) -> tuple[int, ...]:
+        """All hook lengths, row by row; computed on the first call."""
+        if self._hooks is None:
+            conj = self.conjugate().parts
+            out = []
+            for i, p in enumerate(self.parts, start=1):
+                for j in range(1, p + 1):
+                    out.append(p + conj[j - 1] - i - j + 1)
+            self._hooks = tuple(out)
+        return self._hooks
 
     def first_column_hooks(self) -> tuple[int, ...]:
         """Strictly decreasing hook lengths of column 1: parts[i] + len - i."""
@@ -143,6 +149,37 @@ class Partition:
         cj = conj[j - 1] if j <= len(conj) else 0
         return i + j - ci - cj - 2
 
+    def symplectic_contents(self) -> list[int]:
+        """symplectic_content of every cell, row by row.
+
+        Inside the diagram j < i <= len(parts) and i <= j <= len(conj), so
+        neither branch reads past the parts or the conjugate.
+        """
+        parts = self.parts
+        conj = self.conjugate().parts
+        out = []
+        for i, p in enumerate(parts, start=1):
+            for j in range(1, p + 1):
+                if i > j:
+                    out.append(p + parts[j - 1] - i - j + 2)
+                else:
+                    out.append(i + j - conj[i - 1] - conj[j - 1])
+        return out
+
+    def orthogonal_contents(self) -> list[int]:
+        """orthogonal_content of every cell, row by row; as in
+        symplectic_contents, no index reads past the diagram."""
+        parts = self.parts
+        conj = self.conjugate().parts
+        out = []
+        for i, p in enumerate(parts, start=1):
+            for j in range(1, p + 1):
+                if i >= j:
+                    out.append(p + parts[j - 1] - i - j)
+                else:
+                    out.append(i + j - conj[i - 1] - conj[j - 1] - 2)
+        return out
+
     # -- aggregates -----------------------------------------------------------
 
     def dim_sytx(self) -> int:
@@ -153,18 +190,36 @@ class Partition:
         return num
 
     def diagonal_hooks(self) -> tuple[int, ...]:
-        """Hook lengths h(1,1), h(2,2), ... down the main diagonal."""
-        conj = self.conjugate().parts
+        """Hook lengths h(1,1), h(2,2), ... down the main diagonal.
+
+        Column i is as long as the number k of parts >= i, and k only falls
+        as i grows, so one pointer walks up from the last part instead of
+        building the conjugate.
+        """
+        parts = self.parts
         out = []
-        i = 1
-        while i <= len(self.parts) and self.parts[i - 1] >= i:
-            out.append(self.parts[i - 1] + conj[i - 1] - 2 * i + 1)
-            i += 1
+        k = len(parts)
+        for i, p in enumerate(parts, start=1):
+            if p < i:
+                break
+            while parts[k - 1] < i:
+                k -= 1
+            out.append(p + k - 2 * i + 1)
         return tuple(out)
 
     def squares_count(self) -> int:
-        """Sum of min(i, j) over cells == dot(<1,2,...>, diagonal hooks)."""
-        return sum(min(i, j) for i, j in self.cells())
+        """Sum of min(i, j) over cells == dot(<1,2,...>, diagonal hooks).
+
+        Row i of length p adds 1 + 2 + ... + min(p, i), then i for each of
+        its p - i cells past column i.
+        """
+        total = 0
+        for i, p in enumerate(self.parts, start=1):
+            if p <= i:
+                total += p * (p + 1) // 2
+            else:
+                total += i * (i + 1) // 2 + i * (p - i)
+        return total
 
     def squares_count_by_diagonal(self) -> int:
         return sum(i * h for i, h in enumerate(self.diagonal_hooks(), start=1))
@@ -216,23 +271,26 @@ class CellStats(NamedTuple):
     content: int
 
 
-def cell_stats(part: Partition) -> list[CellStats]:
-    conj = part.conjugate().parts
-    new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
-    out = []
-    for i, p in enumerate(part.parts, start=1):
-        for j in range(1, p + 1):
-            arm = p - j
-            leg = conj[j - 1] - i
-            out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
-    return out
+def cell_stats(part: Partition) -> tuple[CellStats, ...]:
+    """Every cell's CellStats, row by row; built on the first call for part."""
+    if part._stats is None:
+        conj = part.conjugate().parts
+        new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
+        out = []
+        for i, p in enumerate(part.parts, start=1):
+            for j in range(1, p + 1):
+                arm = p - j
+                leg = conj[j - 1] - i
+                out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
+        part._stats = tuple(out)
+    return part._stats
 
 
 def _trusted(parts: tuple) -> Partition:
     """Wrap a tuple already known to be positive and weakly decreasing."""
     lam = Partition.__new__(Partition)
     lam.parts = parts
-    lam._conj = None
+    lam._conj = lam._hooks = lam._stats = None
     return lam
 
 

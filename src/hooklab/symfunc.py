@@ -10,48 +10,43 @@ closed forms elsewhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import lt
 
 from .errors import BudgetExceeded, VariableOutOfScope
-from .multipoly import MultiPoly, NVARS, ONE, VAR_INDEX, ZERO
+from .multipoly import MultiPoly, NVARS, ONE, SLOT_BITS, VAR_INDEX, ZERO, from_packed
 from .partitions import Partition, partition_list
 from .permstats import stirling2
 
 #: Indices of the y-block inside the package-wide exponent vectors.
 _Y_INDICES = tuple(VAR_INDEX[f"y{i}"] for i in range(1, 7))
 MAX_VARS = len(_Y_INDICES)
+#: The packed key of each y-variable, and the mask of its exponent slot.
+_Y_UNITS = tuple(next(iter(MultiPoly.var(f"y{i}").prim)) for i in range(1, 7))
+_Y_SLOTS = tuple((unit, unit * ((1 << SLOT_BITS) - 1)) for unit in _Y_UNITS)
+_Y_BLOCK = sum(mask for _, mask in _Y_SLOTS)
 
 _MAX_CELLS = 8
 
 
 def _rows(shape: tuple[int, ...], m: int):
-    """Yield tableau rows one at a time, depth-first over the whole filling.
+    """Yield the fillings of shape with entries in 1..m, rows weakly
+    increasing and columns strictly increasing, depth-first.
 
-    A state is the tuple of previous-row entries aligned to the current row
-    (column-strict bound) plus the weakly-increasing constraint inside the
-    row.  Yields complete fillings as flat entry lists.
+    Each row is a weakly increasing tuple from combinations_with_replacement,
+    kept when each of its entries exceeds the one above it.  Yields complete
+    fillings as lists of rows.
     """
+    choices = {L: list(combinations_with_replacement(range(1, m + 1), L)) for L in set(shape)}
 
-    def fill_row(length: int, floor: tuple[int, ...], row: list[int], j: int):
-        if j == length:
-            yield tuple(row)
-            return
-        lo = max(floor[j], row[j - 1] if j else 1)
-        for v in range(lo, m + 1):
-            row.append(v)
-            yield from fill_row(length, floor, row, j + 1)
-            row.pop()
-
-    def rec(i: int, prev: tuple[int, ...]):
+    def rec(i: int, above: tuple[int, ...]):
         if i == len(shape):
             yield []
             return
-        length = shape[i]
-        floor = tuple(prev[j] + 1 for j in range(length)) if prev else (1,) * length
-        for row in fill_row(length, floor, [], 0):
-            for rest in rec(i + 1, row):
-                yield [row] + rest
+        for row in choices[shape[i]]:
+            if all(map(lt, above, row)):
+                for rest in rec(i + 1, row):
+                    yield [row] + rest
 
     yield from rec(0, ())
 
@@ -70,17 +65,15 @@ def schur_poly(shape, m: int) -> MultiPoly:
         raise BudgetExceeded(f"shape with {lam.n} cells exceeds the cap of {_MAX_CELLS}")
     if len(lam.parts) > m:
         return ZERO
-    terms: dict[tuple, int] = {}  # fillings per monomial
+    units = (0,) + _Y_UNITS  # entry v adds one to the exponent of y_v
+    terms: dict[int, int] = {}  # fillings per packed monomial
     for filling in _rows(lam.parts, m):
-        exp = [0] * NVARS
+        key = 0
         for row in filling:
             for v in row:
-                exp[_Y_INDICES[v - 1]] += 1
-        key = tuple(exp)
+                key += units[v]
         terms[key] = terms.get(key, 0) + 1
-    if not terms:
-        return ONE  # empty shape: the single empty filling
-    return MultiPoly(terms)
+    return from_packed(terms)
 
 
 def elementary_poly(j: int, m: int) -> MultiPoly:
@@ -105,22 +98,17 @@ def flatten(p: MultiPoly) -> MultiPoly:
 
     Defined only for polynomials supported on the y-block; anything touching
     a coefficient variable raises VariableOutOfScope.  Linear and idempotent.
+    The integer coefficients of p.prim are merged on packed keys, and p.cont
+    is applied once.
     """
-    y_set = set(_Y_INDICES)
-    terms: dict[tuple, Fraction] = {}
-    for exp, coeff in p.terms.items():
-        for i, e in enumerate(exp):
-            if e and i not in y_set:
-                raise VariableOutOfScope(
-                    f"flatten only handles y-variables; saw {MultiPoly({exp: coeff}).render()}"
-                )
-        capped = tuple(min(e, 1) for e in exp)
-        total = terms.get(capped, Fraction(0)) + coeff
-        if total:
-            terms[capped] = total
-        else:
-            terms.pop(capped, None)
-    return MultiPoly(terms)
+    terms: dict[int, int] = {}
+    for key, c in p.prim.items():
+        if key & ~_Y_BLOCK:
+            saw = from_packed({key: c}) * p.cont
+            raise VariableOutOfScope(f"flatten only handles y-variables; saw {saw.render()}")
+        capped = sum(unit for unit, mask in _Y_SLOTS if key & mask)
+        terms[capped] = terms.get(capped, 0) + c
+    return from_packed(terms) * p.cont
 
 
 def flattened_schur_identity(k: int, m: int) -> tuple[bool, MultiPoly, MultiPoly]:

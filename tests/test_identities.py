@@ -14,7 +14,7 @@ from itertools import chain
 import pytest
 
 from hooklab import identities
-from hooklab.checks import _constant, _fraction_sum, _linear
+from hooklab.checks import _constant, _contents, _fraction_sum, _linear
 from hooklab.errors import NotSquare, WeightEvaluationError
 from hooklab.harness import run_check
 from hooklab.identities import (
@@ -204,24 +204,27 @@ def _scalar_weight(stat, power):
     return lambda cs, lam: Fraction(stat(lam, cs.i, cs.j) ** power, cs.hook**power)
 
 
-# Each check's factors, built as the check builds them, beside the per-cell
-# weight that the generic partition_product_sum multiplies out cell by cell.
+# Each check's factors, built as the check builds them from whole-diagram
+# vectors, beside the per-cell weight that the generic partition_product_sum
+# multiplies out cell by cell.
 PORTED_WEIGHTS = {
-    "X3.3": (_linear(_content, 1), _shift_weight(_content, False, 1)),
-    "X3.4": (_linear(_content, 2), _shift_weight(_content, False, 2)),
-    "C6.2a": (_linear(_sp, 1), _shift_weight(_sp, False, 1)),
-    "C6.2b": (_linear(_orth, 1), _shift_weight(_orth, False, 1)),
-    "C6.2c-and-P6.1-sp": (_constant(_sp, 1), _scalar_weight(_sp, 1)),
-    "P6.1-orth": (_constant(_orth, 1), _scalar_weight(_orth, 1)),
+    "X3.3": (_linear(_contents, 1), _shift_weight(_content, False, 1)),
+    "X3.4": (_linear(_contents, 2), _shift_weight(_content, False, 2)),
+    "C6.2a": (_linear(Partition.symplectic_contents, 1), _shift_weight(_sp, False, 1)),
+    "C6.2b": (_linear(Partition.orthogonal_contents, 1), _shift_weight(_orth, False, 1)),
+    "C6.2c-and-P6.1-sp": (
+        _constant(Partition.symplectic_contents, 1), _scalar_weight(_sp, 1)
+    ),
+    "P6.1-orth": (_constant(Partition.orthogonal_contents, 1), _scalar_weight(_orth, 1)),
     "C6.3a-sp": (
-        _linear(lambda lam, i, j: lam.symplectic_content(i, j) ** 2, 2),
+        _linear(lambda lam: [a * a for a in lam.symplectic_contents()], 2),
         _shift_weight(_sp, True, 2),
     ),
     "C6.3a-orth": (
-        _linear(lambda lam, i, j: lam.orthogonal_content(i, j) ** 2, 2),
+        _linear(lambda lam: [a * a for a in lam.orthogonal_contents()], 2),
         _shift_weight(_orth, True, 2),
     ),
-    "C6.3b": (_constant(_sp, 2), _scalar_weight(_sp, 2)),
+    "C6.3b": (_constant(Partition.symplectic_contents, 2), _scalar_weight(_sp, 2)),
 }
 
 
@@ -895,6 +898,30 @@ def test_alternating_sign_flips_with_parity():
         alt = cycle_index_sum(power_traces(m), sign_convention="alternating")
         det = det_cofactor(m)
         assert alt == (det if n % 2 else -det)
+
+
+def _fraction_cycle_index_sum(traces, sign_convention):
+    """Oracle: the class sum multiplied out in Fractions, one class at a time."""
+    n = len(traces)
+    total = Fraction(0)
+    for lam in partition_list(n):
+        prod = Fraction(1)
+        for j in lam.parts:
+            prod *= traces[j - 1]
+        exponent = n - len(lam) if sign_convention == "newton" else len(lam) - 1
+        total += (-1) ** exponent * lam.class_size * prod
+    return total / math.factorial(n)
+
+
+def test_cycle_index_sum_matches_fraction_class_sum():
+    rng = random.Random(5)
+    for n in range(8):
+        for _ in range(6):
+            traces = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)]
+            for convention in ("newton", "alternating"):
+                got = cycle_index_sum(traces, sign_convention=convention)
+                assert got == _fraction_cycle_index_sum(traces, convention)
+                assert type(got) is Fraction
 
 
 def _fraction_power_traces(m):

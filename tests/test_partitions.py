@@ -118,6 +118,27 @@ def test_cell_stats_consistency(lam):
         assert cs.content == cs.j - cs.i
 
 
+def test_whole_diagram_statistics_match_the_per_cell_definitions():
+    # A fresh object per partition, so each statistic is computed here
+    # rather than read from a memo another test filled.
+    for lam in all_partitions_upto(14):
+        lam = Partition(lam.parts)
+        cells = list(lam.cells())
+        hooks = lam.hook_lengths()
+        assert hooks == tuple(lam.hook(i, j) for i, j in cells)
+        assert lam.hook_lengths() is hooks
+        stats = cell_stats(lam)
+        assert cell_stats(lam) is stats
+        assert [(cs.i, cs.j) for cs in stats] == cells
+        assert lam.symplectic_contents() == [lam.symplectic_content(i, j) for i, j in cells]
+        assert lam.orthogonal_contents() == [lam.orthogonal_content(i, j) for i, j in cells]
+        conj = lam.conjugate().parts
+        assert lam.diagonal_hooks() == tuple(
+            p + conj[i - 1] - 2 * i + 1 for i, p in enumerate(lam.parts, start=1) if p >= i
+        )
+        assert lam.squares_count() == sum(min(i, j) for i, j in cells)
+
+
 def test_symplectic_orthogonal_contents_swap_under_conjugation():
     for lam in all_partitions_upto(8):
         conj = lam.conjugate()

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -55,6 +55,27 @@ def test_schur_monomial_count_is_tableau_count():
                 assert count.as_fraction() == expected
 
 
+def test_schur_matches_brute_force_fillings():
+    # Every assignment of 1..m to the cells, kept when rows weakly increase
+    # and columns strictly increase, counted per monomial.
+    for n in range(6):
+        for lam in partition_list(n):
+            cells = list(lam.cells())
+            for m in range(1, 5):
+                terms = {}
+                for values in product(range(1, m + 1), repeat=n):
+                    entry = dict(zip(cells, values))
+                    if all(
+                        (j == 1 or entry[i, j - 1] <= v) and (i == 1 or entry[i - 1, j] < v)
+                        for (i, j), v in entry.items()
+                    ):
+                        exp = [0] * len(VAR_INDEX)
+                        for v in values:
+                            exp[VAR_INDEX[f"y{v}"]] += 1
+                        terms[tuple(exp)] = terms.get(tuple(exp), 0) + 1
+                assert schur_poly(lam, m) == MultiPoly(terms), (lam, m)
+
+
 def test_schur_edge_shapes():
     assert schur_poly(Partition(()), 2).is_one()
     assert schur_poly(Partition([1, 1, 1]), 2).is_zero()
@@ -103,6 +124,18 @@ def test_flatten_merges_collisions():
     assert flatten(p) == 2 * Y[0]
     # cancellation may empty a term
     assert flatten(Y[0] ** 2 - Y[0]).is_zero()
+
+
+def test_flatten_applies_a_fraction_content():
+    third = Fraction(1, 3)
+    p = third * Y[0] ** 2 * Y[1] + 2 * third * Y[0] * Y[1] ** 3 + Fraction(5, 6) * Y[2] ** 4
+    assert flatten(p) == Y[0] * Y[1] + Fraction(5, 6) * Y[2]
+    # the colliding monomials cancel, and only the y3 term is left
+    q = Fraction(3, 4) * (Y[0] ** 2 * Y[1] - Y[0] * Y[1] ** 2 + Y[2] ** 2)
+    assert flatten(q) == Fraction(3, 4) * Y[2]
+    assert flatten(third * (Y[0] ** 3 - Y[0] ** 2)).is_zero()
+    with pytest.raises(VariableOutOfScope):
+        flatten(third * (Y[0] + MultiPoly.var("q") ** 2))
 
 
 def test_flatten_rejects_foreign_variables():
