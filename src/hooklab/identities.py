@@ -24,13 +24,12 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
-from .multipoly import (
-    MultiPoly, ONE, RatFunc, ZERO, dense_linear_product, from_packed
-)
+from .multipoly import MultiPoly, ONE, RatFunc, ZERO, dense_linear_product
 from .partitions import (
     CellStats,
     Partition,
     cell_stats,
+    hook_part_census,
     partition_list,
 )
 from .series import TruncatedSeries, eta_product, gaussian_binomial, geometric
@@ -205,37 +204,31 @@ def linear_product_series(order: int, factors: Callable) -> TruncatedSeries:
     return TruncatedSeries(order, [linear_product_sum(n, factors) for n in range(order + 1)])
 
 
-def partition_additive_series(
-    order: int, summand: Callable, mode: str = "cells"
+def _census_series(
+    f: Callable[[int], object], counts_by_n: Sequence[dict[int, int]]
 ) -> TruncatedSeries:
-    """sum_n x^n sum_{lambda |- n} sum summand, over cells or over parts.
+    """The series whose x^n coefficient is sum_i f(i) * counts_by_n[n][i].
 
-    mode="cells" calls summand(cell_stats_entry, lam); mode="parts" calls
-    summand(part_value, lam).  Summands may return integers, rationals,
-    polynomials or rational functions.  Scalars and polynomials are added
-    term by term into one coefficient map per n; only RatFunc summands go
-    through RatFunc addition.  A float or other inexact summand raises
-    TypeError.
+    f is called once per distinct value i and may return an integer, a
+    rational, a polynomial or a rational function; the terms are added by
+    MultiPoly arithmetic, so a float or other inexact value raises TypeError.
     """
-    if mode not in ("cells", "parts"):
-        raise ValueError(f"unknown additive mode {mode!r}")
-    coeffs = []
-    for n in range(order + 1):
-        terms = {}
-        rest = ZERO
-        for lam in partition_list(n):
-            for item in cell_stats(lam) if mode == "cells" else lam.parts:
-                s = summand(item, lam)
-                if isinstance(s, MultiPoly):  # first: a miss on Fraction is a slow ABC check
-                    cont = s.cont
-                    for exp, c in s.prim.items():
-                        terms[exp] = terms.get(exp, 0) + (c if cont == 1 else cont * c)
-                elif isinstance(s, (int, Fraction)):
-                    terms[0] = terms.get(0, 0) + s  # 0 packs the constant monomial
-                else:
-                    rest = rest + s
-        coeffs.append(from_packed(terms) + rest)
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(
+        len(counts_by_n) - 1,
+        [sum((f(i) * c for i, c in counts.items()), ZERO) for counts in counts_by_n],
+    )
+
+
+def part_sum_series(order: int, f: Callable[[int], object]) -> TruncatedSeries:
+    """sum_n x^n sum_{lambda |- n} sum of f(p) over the parts p of lambda,
+    from the number of parts equal to each i (hook_part_census)."""
+    return _census_series(f, [hook_part_census(n)[0] for n in range(order + 1)])
+
+
+def hook_sum_series(order: int, f: Callable[[int], object]) -> TruncatedSeries:
+    """sum_n x^n sum_{lambda |- n} sum of f(h) over the hook lengths h of the
+    cells of lambda, from the number of hooks equal to each i."""
+    return _census_series(f, [hook_part_census(n)[1] for n in range(order + 1)])
 
 
 def partition_gf(order: int) -> TruncatedSeries:

@@ -184,10 +184,7 @@ class Partition:
 
     def dim_sytx(self) -> int:
         """Number of standard fillings, n! / prod(hooks); always exact."""
-        num = math.factorial(self.n)
-        for h in self.hook_lengths():
-            num //= h
-        return num
+        return math.factorial(self.n) // math.prod(self.hook_lengths())
 
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths h(1,1), h(2,2), ... down the main diagonal.

@@ -54,6 +54,13 @@ def test_refuted_check_exits_one(capsys):
     assert "n=10" in entry["witness"]
 
 
+def test_skipped_check_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "run", "--id", "P6.4", "--bound", "max_m=6", "--format", "json")
+    assert code == 0
+    (entry,) = json.loads(out)["checks"]
+    assert entry["status"] == "skipped"
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--id", "C2.1", "--bound", "max_n=6", "--format", "csv"

@@ -207,6 +207,14 @@ def test_zero_budget_skips_everything():
     assert rep.summary["skipped"] == 47
 
 
+def test_a_budget_raised_inside_a_check_skips_it():
+    # P6.4's Schur flatten raises BudgetExceeded past its checked range;
+    # _execute reports that as skipped, not as an error.
+    r = run_check("P6.4", {"max_m": 6})
+    assert (r.status, r.witness) == ("skipped", None)
+    assert r.notes == "budget: (k=1, m=6) beyond the checked range k<=6, m<=5"
+
+
 def _strip_timing(rep):
     return [
         dataclasses.replace(r, elapsed_ms=0.0)

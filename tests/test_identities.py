@@ -24,6 +24,7 @@ from hooklab.identities import (
     equivalence_classes_D,
     hook_falling_factorial_moment,
     hook_square_polynomial,
+    hook_sum_series,
     involution_moment_poly,
     leg_zero_sum,
     linear_product_series,
@@ -31,12 +32,12 @@ from hooklab.identities import (
     marked_power_rhs_series,
     max_unit_hooks,
     multiplicity_binomial_sum,
-    partition_additive_series,
     partition_gf,
     partition_product_series,
     partition_product_sum,
     part_count_rhs_series,
     part_marker_rhs_series,
+    part_sum_series,
     power_sum_rhs_series,
     power_traces,
     rr_count_series,
@@ -687,90 +688,90 @@ def test_product_sum_accepts_exactly_exact_weights():
             partition_product_sum(3, lambda cs, lam: bad)
 
 
-def _per_summand_oracle(order, summand, mode):
-    """Add every summand one by one, as the additive series once did."""
+def _per_summand_oracle(order, f, items):
+    """Add f of every item (a hook or a part) of every partition, one by one."""
     coeffs = []
     for n in range(order + 1):
         total = MultiPoly.const(0)
         for lam in partition_list(n):
-            items = cell_stats(lam) if mode == "cells" else lam.parts
-            for item in items:
-                total = total + summand(item, lam)
+            for i in items(lam):
+                total = total + f(i)
         coeffs.append(total)
     return coeffs
 
 
-def _mixed_cell_summand(cs, lam):
-    """Every summand type, picked by cell: zero, int, Fraction, MultiPoly
-    with and without a unit content, and a RatFunc."""
-    k = (cs.i + cs.j + cs.hook) % 7
+_HOOKS = (hook_sum_series, Partition.hook_lengths)
+_PARTS = (part_sum_series, lambda lam: lam.parts)
+
+
+def _mixed_cell_value(h):
+    """Every value type, picked by hook length: zero, int, Fraction,
+    MultiPoly with and without a unit content, and a RatFunc."""
     return [
         0,
-        cs.hook - 3,
-        Fraction(cs.content, cs.hook),
-        Q ** cs.hook,
-        (T + cs.leg) * Fraction(-1, cs.hook + 1),
-        T * Q + cs.arm,
-        (T + cs.content) / (T + cs.hook),
-    ][k]
+        h - 3,
+        Fraction(h - 4, h),
+        Q**h,
+        (T + h) * Fraction(-1, h + 1),
+        T * Q + h,
+        (T - h) / (T + h),
+    ][h % 7]
 
 
-def _mixed_part_summand(p, lam):
-    k = (p + len(lam)) % 6
-    return [0, p, Fraction(1, p), Q**p * Fraction(2, 3), T - p, ONE / (T + p)][k]
+def _mixed_part_value(p):
+    return [0, p, Fraction(1, p), Q**p * Fraction(2, 3), T - p, ONE / (T + p)][p % 6]
 
 
 @pytest.mark.parametrize(
-    "summand, mode",
+    "census, f",
     [
-        (_mixed_cell_summand, "cells"),
-        (_mixed_part_summand, "parts"),
-        (lambda cs, lam: Fraction(lam.orthogonal_content(cs.i, cs.j), cs.hook), "cells"),
-        (lambda cs, lam: Q ** (cs.hook**2) - Q ** cs.hook, "cells"),
-        (lambda p, lam: Q**p * p, "parts"),
+        (_HOOKS, _mixed_cell_value),
+        (_PARTS, _mixed_part_value),
+        (_HOOKS, lambda h: Fraction(h - 5, h + 1)),
+        (_HOOKS, lambda h: Q ** (h**2) - Q**h),
+        (_PARTS, lambda p: Q**p * p / (T + p)),
     ],
     ids=["cells-mixed", "parts-mixed", "cells-fraction", "cells-poly", "parts-ratfunc"],
 )
-def test_additive_series_matches_per_summand_oracle(summand, mode):
-    got = partition_additive_series(7, summand, mode=mode)
-    want = _per_summand_oracle(7, summand, mode)
-    for n in range(8):
+def test_additive_series_matches_per_summand_oracle(census, f):
+    # each builder against f added once per hook (one per cell) or per part
+    builder, items = census
+    got = builder(10, f)
+    want = _per_summand_oracle(10, f, items)
+    for n in range(11):
         assert got.coefficient(n) == want[n]
         assert got.coefficient(n).render() == want[n].render()
 
 
 def test_additive_series_rejects_inexact_summands():
     with pytest.raises(TypeError):
-        partition_additive_series(3, lambda cs, lam: 0.5)
+        hook_sum_series(3, lambda h: 0.5)
     with pytest.raises(TypeError):
-        partition_additive_series(3, lambda p, lam: float(p), mode="parts")
+        part_sum_series(3, float)
 
 
 def test_additive_series_parts_vs_cells():
-    # total cell count == total of all parts
-    by_cells = partition_additive_series(8, lambda cs, lam: 1, mode="cells")
-    by_parts = partition_additive_series(8, lambda p, lam: p, mode="parts")
+    # total cell count == total of all parts == n p(n)
+    by_cells = hook_sum_series(8, lambda h: 1)
+    by_parts = part_sum_series(8, lambda p: p)
     assert by_cells.first_difference(by_parts) is None
-    with pytest.raises(ValueError):
-        partition_additive_series(3, lambda p, lam: 1, mode="rows")
+    assert [by_cells.coefficient(n) for n in range(9)] == [n * partition_count(n) for n in range(9)]
 
 
 def test_power_sum_series_against_direct_sums():
     # each right-hand side against the partition sum that C8.1 or P8.2 compares
-    cases = [(part_count_rhs_series(10), lambda p, lam: p, "parts"),
-             (part_marker_rhs_series(10), lambda p, lam: Q**p, "parts")]
+    cases = [(part_count_rhs_series(10), part_sum_series, lambda p: p),
+             (part_marker_rhs_series(10), part_sum_series, lambda p: Q**p)]
     for alpha in range(4):
         cases += [
-            (power_sum_rhs_series(10, alpha),
-             lambda cs, lam, a=alpha: Fraction(cs.hook**a), "cells"),
+            (power_sum_rhs_series(10, alpha), hook_sum_series, lambda h, a=alpha: Fraction(h**a)),
             (marked_power_rhs_series(10, alpha, weighted=True),
-             lambda cs, lam, a=alpha: Q ** (cs.hook**a), "cells"),
+             hook_sum_series, lambda h, a=alpha: Q ** (h**a)),
             (marked_power_rhs_series(10, alpha, weighted=False),
-             lambda p, lam, a=alpha: Q ** (p**a), "parts"),
+             part_sum_series, lambda p, a=alpha: Q ** (p**a)),
         ]
-    for rhs, summand, mode in cases:
-        direct = partition_additive_series(10, summand, mode=mode)
-        assert rhs.first_difference(direct) is None, (mode, rhs)
+    for rhs, builder, f in cases:
+        assert rhs.first_difference(builder(10, f)) is None, (builder.__name__, rhs)
 
 
 def test_reciprocal_sums_over_the_census_match_term_by_term_sums():
