@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import NotSquare, WeightEvaluationError
-from .multipoly import MultiPoly, ONE, RatFunc, ZERO, dense_linear_product
+from .multipoly import VARIABLES, MultiPoly, ONE, Packing, RatFunc, ZERO
 from .partitions import (
     CellStats,
     Partition,
@@ -112,40 +112,78 @@ def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFun
 
     groups maps each multiset, a sorted tuple of indices into objects (each
     a MultiPoly or RatFunc), to its summed int or Fraction scale.  Multisets
-    whose scales sum to 0 are skipped; the others are walked with
-    _prefix_products, so each product of numerators extends the one for a
-    prefix it shares with another multiset.  Products with equal
-    denominators are added first, and _over_common_denominator brings the
-    classes over prod f^(largest multiplicity) of the denominator factors
-    f.  Only the final quotient is reduced: the result is a MultiPoly when
-    the denominators divide out, else a RatFunc.
+    whose scales sum to 0 are skipped.  The sum runs in packed integers
+    (multipoly.Packing): each object is a rational content times P/f, where
+    P and f are its numerator and denominator over their contents, and P
+    and f are packed.  A multiset's scale and contents make one rational
+    weight, and the weights are brought over their common denominator L.
+    The live multisets are walked with _prefix_products, so each product of
+    images extends the one for a prefix it shares with another multiset.
+    Products with equal denominators are added first, and
+    _over_common_denominator brings the classes over
+    prod f^(largest multiplicity).  The total is read back once over L, and
+    only the final quotient is reduced: the result is a MultiPoly when the
+    denominators divide out, else a RatFunc.
     """
-    nums, den_of, dens = [], [], {}  # per object: numerator, denominator index; den -> index
+    nums, den_of, dens, contents = [], [], {}, []  # per object; den -> index
     for w in objects:
         if isinstance(w, MultiPoly):
             nums.append(w)
             den_of.append(None)
+            contents.append(w.content())
         else:
             nums.append(w.num)
             den_of.append(dens.setdefault(w.den, len(dens)))
-    classes = {}  # sorted denominator indices -> summed numerators
-    live = [key for key, scale in groups.items() if scale]
-    for key, num in _prefix_products(live, ONE, lambda p, i: p * nums[i]):
-        ds = tuple(sorted(den_of[i] for i in key if den_of[i] is not None))
-        scale = groups[key]
-        classes[ds] = classes.get(ds, ZERO) + (num if scale == 1 else num * scale)
-    den = Counter()
-    for ds in classes:
-        den |= Counter(ds)
+            contents.append(w.num.content() / w.den.content())
     polys = list(dens)
-    total = _over_common_denominator(classes, polys, den, 0)
-    return total / math.prod((polys[d] ** m for d, m in den.items()), start=ONE)
+    live = [key for key, scale in groups.items() if scale]
+    class_of = {key: tuple(sorted(den_of[i] for i in key if den_of[i] is not None)) for key in live}
+    den = Counter()
+    for ds in set(class_of.values()):
+        den |= Counter(ds)
+
+    tops = [c.numerator for c in contents]
+    bottoms = [c.denominator for c in contents]
+    weights = {
+        key: groups[key] * Fraction(
+            math.prod(map(tops.__getitem__, key)), math.prod(map(bottoms.__getitem__, key))
+        )
+        for key in live
+    }
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    weights = {key: w.numerator * (common // w.denominator) for key, w in weights.items()}
+
+    # The total's coefficients are bounded by its l1 norm, and its degree in
+    # each variable by the largest multiset's plus the common denominator's.
+    norms = list(map(Packing.norm, nums))
+    bound = math.prod(Packing.norm(polys[d]) ** m for d, m in den.items()) * sum(
+        abs(weights[key]) * math.prod(map(norms.__getitem__, key)) for key in live
+    )
+    degrees = {}
+    for v in sorted({v for p in chain(nums, polys) for v in p.used_vars()}):
+        name = VARIABLES[v]
+        deg = [max(p.degree(name), 0) for p in nums]
+        degrees[name] = max((sum(map(deg.__getitem__, key)) for key in live), default=0) + sum(
+            m * polys[d].degree(name) for d, m in den.items()
+        )
+    layout = Packing(degrees, bound)
+
+    images = [layout.image(p) for p in nums]
+    classes = {}  # sorted denominator indices -> summed weighted products
+    for key, value in _prefix_products(live, 1, lambda p, i: p * images[i]):
+        ds = class_of[key]
+        classes[ds] = classes.get(ds, 0) + weights[key] * value
+    total = _over_common_denominator(classes, [layout.image(f) for f in polys], den, 0)
+    return layout.read(total, common) / math.prod(
+        (polys[d].primitive() ** m for d, m in den.items()), start=ONE
+    )
 
 
-def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -> MultiPoly:
+def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -> int:
     """sum of N_c * prod over f >= d of polys[f]^(den[f] - m_c(f)) over the
     classes c (sorted tuples of denominator indices, m_c(f) the count of f
-    in c, N_c the summed numerator), by Horner's rule in each factor in turn.
+    in c, N_c the summed numerator), by Horner's rule in each factor in turn;
+    the numerators and factors are packed integers.
 
     The classes are grouped by their multiplicity j of factor d, and
     acc = acc * polys[d] + (the sum for group j over the later factors) for
@@ -154,11 +192,11 @@ def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -
     classes left agree on every multiplicity, so there is at most one.
     """
     if d == len(polys):
-        return sum(classes.values(), ZERO)
+        return sum(classes.values())
     by_j = {}
     for ds, num in classes.items():
         by_j.setdefault(ds.count(d), {})[ds] = num
-    f, acc = polys[d], ZERO
+    f, acc = polys[d], 0
     for j in range(den[d] + 1):
         acc = acc * f
         if j in by_j:
@@ -176,12 +214,14 @@ def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
 
     factors(lambda) returns (shifts, w): a sequence of integer shifts and an
     int or Fraction weight w; no shifts give the constant w.  The sum runs in
-    integer coefficient lists over the lcm of the weights' denominators.
+    packed integers (multipoly.Packing) over the lcm of the weights'
+    denominators, with sum |w| * prod (1 + |r|) as the coefficient bound.
     Partitions with the same sorted shifts (lambda and its conjugate share
     a hook multiset) add their weights first; shift tuples whose weights sum
     to 0 are skipped, and the rest are walked with _prefix_products, so each
     product extends the one for the longest prefix it shares with the tuple
-    before it by one dense_linear_product step per shift that differs.
+    before it by one big-integer product, by the image of t + r, per shift
+    that differs.  The total is read back once.
     """
     terms = [factors(lam) for lam in partition_list(n)]
     den = math.lcm(*(w.denominator for _, w in terms))
@@ -190,13 +230,13 @@ def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
         scale = w.numerator * (den // w.denominator)
         key = tuple(sorted(shifts))
         groups[key] = groups.get(key, 0) + scale
-    total = [0] * (1 + max(map(len, groups)))
     live = [key for key, scale in groups.items() if scale]
-    for key, coeffs in _prefix_products(live, [1], dense_linear_product):
-        scale = groups[key]
-        for d, c in enumerate(coeffs):
-            total[d] += scale * c
-    return MultiPoly.from_dense(total, "t") * Fraction(1, den)
+    bound = sum(abs(groups[key]) * math.prod(1 + abs(r) for r in key) for key in live)
+    layout = Packing({"t": max(map(len, live), default=0)}, bound)
+    t, total = layout.image(MultiPoly.var("t")), 0
+    for key, value in _prefix_products(live, 1, lambda p, r: p * (t + r)):
+        total += groups[key] * value
+    return layout.read(total, den)
 
 
 def linear_product_series(order: int, factors: Callable) -> TruncatedSeries:

@@ -37,6 +37,11 @@ MultiPoly.  Equal values then have equal (content, primitive) pairs, so
 ``==`` is a data comparison, and a RatFunc never equals a polynomial.
 A scalar over a MultiPoly, such as 1 / p, is a quotient too; RatFunc(p, q)
 is no public constructor and raises TypeError.
+
+Packing maps the integer part of a polynomial to one int by Kronecker
+substitution, so a caller outside this module, such as a partition-sum
+kernel, multiplies and adds whole polynomials as big integers without
+reading ``prim``, and reads the result back once.
 """
 
 from __future__ import annotations
@@ -130,12 +135,6 @@ def dense_prem(a: list, b: list) -> list:
         while a and not a[-1]:
             a.pop()
     return a
-
-
-def dense_linear_product(coeffs: list[int], r: int) -> list[int]:
-    """(t + r) times the polynomial with integer coefficients coeffs, both
-    listed from degree 0 upward."""
-    return [r * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
 
 
 class MultiPoly:
@@ -533,6 +532,66 @@ def _negated(prim: dict) -> dict:
     return {exp: -c for exp, c in prim.items()}
 
 
+class Packing:
+    """A Kronecker substitution layout (Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, section 4; D. Harvey, J. Symbolic
+    Comput. 44, 2009): the image of a polynomial with integer coefficients
+    is its value at x_v = 2^(bits * stride_v), so sums and products of
+    images are the images of the sums and products, and CPython's big
+    integers do the work per coefficient.
+
+    degrees maps each variable of the images to a bound on its degree;
+    stride_v is the product of degrees[u] + 1 over the variables u listed
+    before v.  bound bounds every coefficient of a polynomial to be read
+    back, and bits = bound.bit_length() + 1, so each coefficient c has
+    |c| < 2^(bits - 1) and is one signed digit.  A polynomial within both
+    bounds is then the only one with its image, and read gives it back.
+    """
+
+    __slots__ = ("bits", "_radix", "_keys")
+
+    def __init__(self, degrees: Mapping[str, int], bound: int):
+        self.bits = bound.bit_length() + 1
+        self._radix = []  # (slot shift, digit stride) per variable
+        keys = [0]  # the packed key of each digit, lowest digit first
+        for name, d in degrees.items():
+            if d >= EXP_LIMIT:
+                raise _overflow(name, d)
+            s = _SHIFTS[VAR_INDEX[name]]
+            self._radix.append((s, len(keys)))
+            keys = [key + (e << s) for e in range(d + 1) for key in keys]
+        self._keys = keys
+
+    @staticmethod
+    def norm(p: MultiPoly) -> int:
+        """The sum of the absolute values of p's coefficients over its
+        content: a bound on the coefficients of its image's polynomial."""
+        return sum(map(abs, p.prim.values()))
+
+    def image(self, p: MultiPoly) -> int:
+        """The image of p over its content, p.content() times which is p."""
+        bits, radix = self.bits, self._radix
+        return sum(
+            c << bits * sum((key >> s & _SLOT_MASK) * stride for s, stride in radix)
+            for key, c in p.prim.items()
+        )
+
+    def read(self, value: int, den: int) -> MultiPoly:
+        """The polynomial whose image is value, over the positive int den."""
+        bits, keys = self.bits, self._keys
+        # Every digit offset by 2^(bits - 1) is nonnegative, so the offset
+        # value's binary string holds the digits unsigned, bits chars each.
+        zero = "1" + "0" * (bits - 1)
+        text = format(value + int(zero * len(keys), 2), "b").zfill(bits * len(keys))
+        half = 1 << bits - 1
+        ints = {}
+        for key, end in zip(keys, range(len(text), 0, -bits)):
+            digit = text[end - bits : end]
+            if digit != zero:
+                ints[key] = int(digit, 2) - half
+        return _reduce(ints, _norm(Fraction(1, den)))
+
+
 _UNIT = 1
 _ONE_PRIM = {0: 1}
 _MINUS_ONE_PRIM = {0: -1}
@@ -681,8 +740,7 @@ class RatFunc:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        num, den = o
-        return _quotient(self.num * den + num * self.den, self.den * den)
+        return _sum(self.num, self.den, *o)
 
     __radd__ = __add__
 
@@ -778,6 +836,25 @@ def _coprime_quotient(num: MultiPoly, den: MultiPoly) -> MultiPoly | RatFunc:
         inv = 1 / lead
         num, den = num * inv, den * inv
     return num if den.is_one() else RatFunc(num, den, _CANONICAL)
+
+
+def _sum(n1: MultiPoly, d1: MultiPoly, n2: MultiPoly, d2: MultiPoly) -> MultiPoly | RatFunc:
+    """(n1/d1) + (n2/d2) for coprime pairs, d1 not constant, by Henrici's
+    addition (JACM 1956; Knuth, TAOCP vol. 2, section 4.5.1).  With
+    g = gcd(d1, d2) and e_i = d_i/g, t = n1*e2 + n2*e1 is coprime to e1
+    and e2, so only gcd(t, g) can divide out; for d2 = 1 or g = 1 the
+    cross sum is already in lowest terms and takes no gcd at all."""
+    if d2.is_one():
+        return _coprime_quotient(n1 + n2 * d1, d1)
+    g = poly_gcd(d1, d2)
+    if g.is_one():
+        return _coprime_quotient(n1 * d2 + n2 * d1, d1 * d2)
+    e1, e2 = exact_div(d1, g), exact_div(d2, g)
+    t = n1 * e2 + n2 * e1
+    g2 = poly_gcd(t, g)
+    if not g2.is_one():
+        t, d2 = exact_div(t, g2), exact_div(d2, g2)
+    return _coprime_quotient(t, e1 * d2)
 
 
 def _product(n1: MultiPoly, d1: MultiPoly, n2: MultiPoly, d2: MultiPoly) -> MultiPoly | RatFunc:

@@ -15,7 +15,7 @@ import pytest
 
 from hooklab import identities
 from hooklab.checks import _constant, _contents, _fraction_sum, _linear
-from hooklab.errors import NotSquare, WeightEvaluationError
+from hooklab.errors import ExponentOverflow, NotSquare, WeightEvaluationError
 from hooklab.harness import run_check
 from hooklab.identities import (
     arm_zero_sum,
@@ -49,7 +49,7 @@ from hooklab.identities import (
     top_hook_series,
     unit_hook_series,
 )
-from hooklab.multipoly import MultiPoly, ONE, RatFunc
+from hooklab.multipoly import EXP_LIMIT, MultiPoly, ONE, RatFunc
 from hooklab.partitions import (
     Partition,
     cell_stats,
@@ -283,6 +283,24 @@ def test_linear_kernel_edge_cases_match_factor_products(name):
         assert got.render() == want.render()
 
 
+def test_linear_kernel_single_products_match_factor_products():
+    # Over n = 0 the sum is the one product w * prod (t + r): shifts of both
+    # signs, zero and repeated shifts, and signed weights.
+    rng = random.Random(3)
+    cases = [([0], 1), ([0, 0], 1), ([1, -1], 1), ([5, -2, -2], -3), ([-6] * 8, 1)]
+    cases += [
+        ([rng.randint(-6, 6) for _ in range(rng.randint(0, 8))], rng.choice([-2, -1, 1, 3]))
+        for _ in range(100)
+    ]
+    for shifts, w in cases:
+        want = MultiPoly.const(w)
+        for r in shifts:
+            want = want * (T + r)
+        got = linear_product_sum(0, lambda lam: (shifts, w))
+        assert got == want, shifts
+        assert got.degree("t") == len(shifts)
+
+
 def test_linear_kernel_small_and_degenerate_sums():
     # n=0 sums over the empty partition alone.
     assert linear_product_sum(0, lambda lam: ((), Fraction(3, 4))) == MultiPoly.const(
@@ -355,11 +373,7 @@ def test_prefix_walk_products_do_not_depend_on_key_order():
 def test_prefix_walk_steps_once_per_distinct_prefix(monkeypatch):
     n = 12
     want = _hook_square_by_factors(n)
-    steps = []
-    step = identities.dense_linear_product
-    monkeypatch.setattr(
-        identities, "dense_linear_product", lambda c, r: steps.append(r) or step(c, r)
-    )
+    steps = _counted_walks(monkeypatch)
     hook_squares = {tuple(sorted(h * h for h in lam.hook_lengths())) for lam in partition_list(n)}
     assert hook_square_polynomial.__wrapped__(n) == want
     assert len(steps) == _distinct_prefixes(hook_squares) < sum(map(len, hook_squares))
@@ -391,11 +405,7 @@ def test_cancelled_multisets_are_not_walked(monkeypatch):
     steps = _counted_walks(monkeypatch)
     assert partition_product_sum(3, _cancelling_weight) == _X * _Y * _Y
     assert len(steps) == 3  # X, Y, Y; walking {Z} would take one step more
-    steps = []
-    step = identities.dense_linear_product
-    monkeypatch.setattr(
-        identities, "dense_linear_product", lambda c, r: steps.append(r) or step(c, r)
-    )
+    steps.clear()
     # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is walked.
     got = linear_product_sum(3, lambda lam: ([4], 1) if len(lam) == 3 else (
         [len(lam), 3 - len(lam)], 1 if len(lam) == 1 else -1))
@@ -575,6 +585,23 @@ def _denominator_classes(cs, lam):
     return _SHARED_DENOMINATORS[(cs.hook + cs.content) % 4][cs.hook % 3]
 
 
+def _over_half(cs, lam):
+    """Weights over T + 1/2, a canonical denominator whose content is 1/2,
+    with numerators of content 1 and 1/3."""
+    if cs.hook == 1:
+        return ONE / (T + Fraction(1, 2))
+    return (cs.hook * T + Fraction(1, 3)) / (T + Fraction(1, 2))
+
+
+# Constant numerators over two denominators of degree 3: the total's degree
+# comes from the common denominator alone.
+_CONSTANT_OVER_CUBES = (ONE / (T**3 + 1), 2 / (T**3 + 2))
+# The packed total of 5^n times p(n) is one coefficient equal to its bound;
+# (1 - 2T)^n is negative over several digits for odd n.
+_FIVE = MultiPoly.const(5)
+_NEGATIVE = 1 - 2 * T
+
+
 @pytest.mark.parametrize(
     "max_n, weight, oracle_weight, cell_filter",
     [
@@ -595,11 +622,16 @@ def _denominator_classes(cs, lam):
         (8, _fresh_hook, None, None),
         (9, _signed_corners, None, None),
         (8, _denominator_classes, None, None),
+        (7, _over_half, None, None),
+        (7, lambda cs, lam: _CONSTANT_OVER_CUBES[cs.j == 1], None, None),
+        (7, lambda cs, lam: _FIVE, None, None),
+        (7, lambda cs, lam: _NEGATIVE, None, None),
     ],
     ids=[
         "surd", "reciprocal-hook", "content-over-hook", "arm-zero",
         "symplectic-fraction", "bare-multipoly", "mixed-types",
         "shared", "fresh", "signed-corners", "denominator-classes",
+        "over-half", "fold-degree", "bound-coefficient", "negative",
     ],
 )
 def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_filter):
@@ -665,6 +697,14 @@ def test_product_sum_over_shared_denominators_matches_ratfunc_sum():
         assert got.render() == want.render()
     assert set(dens[0]) == set(_DENOMINATORS)
     assert repeated and lacking
+
+
+def test_product_sum_past_the_exponent_limit_raises():
+    # Each partition of 2 multiplies q^(2^30) twice; the packed layout
+    # refuses that degree before it builds an integer for it.
+    big = MultiPoly.var("q", EXP_LIMIT // 2)
+    with pytest.raises(ExponentOverflow):
+        partition_product_sum(2, lambda cs, lam: big)
 
 
 def test_product_sum_rejects_inexact_weights():

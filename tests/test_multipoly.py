@@ -19,8 +19,8 @@ from hooklab.multipoly import (
     ZERO_EXP,
     MultiPoly,
     ONE,
+    Packing,
     RatFunc,
-    dense_linear_product,
     exact_div,
     poly_gcd,
 )
@@ -94,27 +94,6 @@ def test_products_accept_exactly_exact_scalars():
             T * bad
         with pytest.raises(TypeError):
             bad * T
-
-
-@given(st.lists(st.integers(-6, 6), max_size=8))
-def test_dense_linear_product_matches_factor_product(shifts):
-    expected, coeffs = ONE, [1]
-    for r in shifts:
-        expected = expected * (T + r)
-        coeffs = dense_linear_product(coeffs, r)
-    assert all(type(c) is int for c in coeffs)
-    assert len(coeffs) == len(shifts) + 1
-    assert MultiPoly.from_dense(coeffs, "t") == expected
-
-
-def test_dense_linear_product_spots():
-    assert dense_linear_product([1], 0) == [0, 1]
-    assert dense_linear_product([0, 1], 0) == [0, 0, 1]
-    assert dense_linear_product([1, 1], -1) == [-1, 0, 1]
-    assert dense_linear_product([2, -3], 5) == [10, -13, -3]
-    # The step builds a new list and leaves its argument alone.
-    coeffs = [1, 2]
-    assert dense_linear_product(coeffs, 3) == [3, 7, 2] and coeffs == [1, 2]
 
 
 @given(small_polys, st.sampled_from(["t", "q"]))
@@ -310,6 +289,31 @@ def test_ratfunc_canonical_form():
     assert (T * Q) / (Q * Q) == T / Q
     # a product cancels each numerator against the other denominator
     assert (ONE / Q) * (Q / (T + 1)) == ONE / (T + 1) == (Q / (T + 1)) * (ONE / Q)
+
+
+def test_ratfunc_sum_divides_out_only_the_shared_denominator_factor():
+    # d1 = T(T+1) and d2 = T(T-1) share g = T, and t = (T-1) + (T+1) = 2T
+    # shares T with g, so the sum drops it: 2/(T^2 - 1).
+    x, y = ONE / (T * (T + 1)), ONE / (T * (T - 1))
+    total = x + y
+    assert total == 2 / (T * T - 1) == y + x
+    assert total.num == MultiPoly.const(2) and total.den == T * T - 1
+    # g = T, and t = 2T + 1 shares nothing with it: the denominator keeps g once.
+    total = ONE / (T * (T + 1)) + (T + 2) / (T * (T - 1))
+    assert total == (T * T + 4 * T + 1) / (T * (T * T - 1))
+    assert total.den == T * (T * T - 1)
+    # Equal denominators that cancel, and a sum whose common factor is a
+    # power: g = T^2 with t = 2T.
+    assert (T / (Q * Q + 1) - T / (Q * Q + 1)).is_zero()
+    total = ONE / (T * T * (T + 1)) + ONE / (T * T * (T - 1))
+    assert total == 2 / (T * (T * T - 1)) and total.den == T * (T * T - 1)
+    # A polynomial or scalar operand takes the d2 = 1 path; coprime
+    # denominators take no gcd of the cross sum.
+    assert (Q / (T + 1) + T) == (T * T + T + Q) / (T + 1)
+    assert (Q / (T + 1) + Fraction(1, 2)) == (2 * Q + T + 1) / (2 * T + 2)
+    assert (ONE / (T + 1) + ONE / (T - 1)).den == T * T - 1
+    for z in (x + y, ONE / (T * (T + 1)) + (T + 2) / (T * (T - 1)), Q / (T + 1) + T):
+        assert_canonical_quotient(z)
 
 
 def test_scalar_over_polynomial_and_no_public_constructor():
@@ -784,3 +788,70 @@ def test_exact_div_past_the_limit_is_inexact():
     assert not worker.is_alive() and results == [None]
     top = y6 ** (EXP_LIMIT - 3)
     assert exact_div(top * (q * y6 + y6**2), q + y6) == top * y6
+
+
+# ----- packed integers (Kronecker substitution) -----------------------------------
+
+
+def _layout_for(value, parts):
+    """A Packing whose bounds hold value: its degree in each variable it
+    uses and the sum of the norms of the parts it was built from."""
+    degrees = {VARIABLES[i]: value.degree(VARIABLES[i]) for i in value.used_vars()}
+    return Packing(degrees, sum(parts))
+
+
+# A packed image is dense in every variable it uses, so these monomials use
+# three: the most and least significant slots and one between them.
+packed_term_lists = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(["t", "b", "y6"]), st.integers(0, 3), max_size=3),
+        st.integers(-9, 9),
+        st.integers(1, 6),
+    ),
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(packed_term_lists, packed_term_lists, packed_term_lists, st.integers(-5, 5),
+       st.integers(1, 12))
+def test_packed_sums_and_products_match_multipoly_arithmetic(ta, tb, tc, k, den):
+    (a, _), (b, _), (c, _) = both(ta), both(tb), both(tc)
+    # The images hold each polynomial over its content.
+    want = a * b * Fraction(1, a.content() * b.content()) + c * Fraction(k, c.content())
+    layout = _layout_for(want, [Packing.norm(a) * Packing.norm(b), abs(k) * Packing.norm(c)])
+    got = layout.read(layout.image(a) * layout.image(b) + k * layout.image(c), den)
+    assert got == want * Fraction(1, den)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # Digits one bit short: the coefficient 7 is the bound.
+        7 * T + 3,
+        7 * T * Q - 7 * MultiPoly.var("y6"),
+        # Digits read unsigned: negative totals over several digits.
+        -(T + 3),
+        T - 2,
+        -(T**2) * Q + 4 * Q - 1,
+        # One digit.
+        MultiPoly.const(-3),
+        MultiPoly.const(0),
+    ],
+    ids=["bound-coefficient", "bound-multivariate", "negative", "negative-low-digit",
+         "negative-multivariate", "negative-constant", "zero"],
+)
+def test_packed_edge_values_read_back(value):
+    # The tightest bound: the largest coefficient over the content.
+    top = max((abs(c / value.content()) for c in value.terms.values()), default=0)
+    layout = _layout_for(value, [int(top)])
+    for den in (1, 3):
+        got = layout.read(layout.image(value), den)
+        assert got == value * Fraction(1, den * value.content())
+
+
+def test_packed_layout_rejects_a_degree_at_the_limit():
+    # Raised before the 2^31-digit integer could be allocated.
+    with pytest.raises(ExponentOverflow, match="q\\^2147483648"):
+        Packing({"t": 3, "q": EXP_LIMIT}, 1)
