@@ -45,6 +45,7 @@ from .permstats import (
 from .identities import (
     arm_zero_sum,
     hook_falling_factorial_moment,
+    hook_product_sum,
     cycle_index_sum,
     det_bareiss,
     equivalence_classes_D,
@@ -61,7 +62,6 @@ from .identities import (
     part_marker_rhs_series,
     part_sum_series,
     partition_product_series,
-    partition_product_sum,
     power_sum_rhs_series,
     power_traces,
     rr_count_series,
@@ -120,17 +120,14 @@ def _fraction_sum(terms) -> Fraction:
 
 def _linear(contents, power):
     """linear_product_sum factors of prod_u (t + a_u)/h_u^power, where
-    contents(lam) gives a_u for every cell u."""
-    return lambda lam: (
-        contents(lam), Fraction(1, math.prod(lam.hook_lengths()) ** power)
-    )
+    contents(lam) gives a_u for every cell u; summed with the same power,
+    as 1/prod_u h_u = f^lambda/n! (the hook length formula)."""
+    return lambda lam: (contents(lam), lam.dim_sytx() ** power)
 
 
 def _constant(contents, power):
     """linear_product_sum factors of prod_u (a_u/h_u)^power: no shifts."""
-    return lambda lam: ((), Fraction(
-        math.prod(contents(lam)) ** power, math.prod(lam.hook_lengths()) ** power
-    ))
+    return lambda lam: ((), (math.prod(contents(lam)) * lam.dim_sytx()) ** power)
 
 
 def _contents(lam):
@@ -389,7 +386,7 @@ def _run_X32(bounds):
 
 def _run_X33(bounds):
     order = bounds["order"]
-    prod = linear_product_series(order, _linear(_contents, 1))
+    prod = linear_product_series(order, _linear(_contents, 1), 1)
     closed = binomial_series(_T, order) * binomial_series(
         binomial_poly(_T, 2), order, deg=2
     )
@@ -400,7 +397,7 @@ def _run_X33(bounds):
 
 def _run_X34(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = linear_product_sum(n, _linear(_contents, 2))
+        total = linear_product_sum(n, _linear(_contents, 2), 2)
         if total != _T ** n * Fraction(1, math.factorial(n)):
             return _bad(f"n={n}: {total.render()}")
     return _ok()
@@ -417,7 +414,7 @@ def _run_X35(bounds):
 
 def _run_X36(bounds):
     for n in range(bounds["max_n"] + 1):
-        total = partition_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
+        total = hook_product_sum(n, surd_hook_factor)
         if not isinstance(total, MultiPoly):
             return _bad(f"n={n}: sum did not reduce to a polynomial: {total.render()}")
         if total != involution_moment_poly(n):
@@ -550,8 +547,8 @@ def _run_C52(bounds):
 
 def _run_P61(bounds):
     for n in range(bounds["max_n"] + 1):
-        sp = linear_product_sum(n, _constant(Partition.symplectic_contents, 1)).as_fraction()
-        oc = linear_product_sum(n, _constant(Partition.orthogonal_contents, 1)).as_fraction()
+        sp = linear_product_sum(n, _constant(Partition.symplectic_contents, 1), 1).as_fraction()
+        oc = linear_product_sum(n, _constant(Partition.orthogonal_contents, 1), 1).as_fraction()
         if sp != oc:
             return _bad(f"n={n}: {sp} vs {oc}")
     return _ok()
@@ -561,7 +558,7 @@ def _run_C62a(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = linear_product_series(order, _linear(Partition.symplectic_contents, 1))
+    lhs = linear_product_series(order, _linear(Partition.symplectic_contents, 1), 1)
     rhs = eta_product(
         [(8, 0, -c2), (8, 2, c2 - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2m - 1)), (8, 6, c2m - 1)],
         order,
@@ -574,7 +571,7 @@ def _run_C62b(bounds):
     order = bounds["order"]
     c2 = binomial_poly(_T + 1, 2)
     c2m = binomial_poly(_T, 2)
-    lhs = linear_product_series(order, _linear(Partition.orthogonal_contents, 1))
+    lhs = linear_product_series(order, _linear(Partition.orthogonal_contents, 1), 1)
     rhs = eta_product(
         [(8, 0, -c2m), (8, 6, c2m - 1), (4, 1, -_T), (4, 3, _T), (8, 4, -(c2 - 1)), (8, 2, c2 - 1)],
         order,
@@ -585,7 +582,7 @@ def _run_C62b(bounds):
 
 def _run_C62c(bounds):
     order = bounds["order"]
-    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 1))
+    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 1), 1)
     rhs = eta_product([(4, 2, 1, True)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -598,10 +595,10 @@ def _run_C62c(bounds):
 def _run_C63a(bounds):
     order = bounds["order"]
     sp = linear_product_series(
-        order, _linear(lambda lam: [a * a for a in lam.symplectic_contents()], 2)
+        order, _linear(lambda lam: [a * a for a in lam.symplectic_contents()], 2), 2
     )
     oc = linear_product_series(
-        order, _linear(lambda lam: [a * a for a in lam.orthogonal_contents()], 2)
+        order, _linear(lambda lam: [a * a for a in lam.orthogonal_contents()], 2), 2
     )
     rhs = eta_product([(4, 2, 1), (1, 0, _T)], order)
     w = _series_mismatch(sp, oc) or _series_mismatch(sp, rhs)
@@ -610,7 +607,7 @@ def _run_C63a(bounds):
 
 def _run_C63b(bounds):
     order = bounds["order"]
-    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 2))
+    lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 2), 2)
     rhs = eta_product([(4, 2, 1)], order)
     w = _series_mismatch(lhs, rhs)
     return _bad(w) if w else _ok()

@@ -107,6 +107,18 @@ def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     return _multiset_product_sum(groups, objects)
 
 
+def hook_product_sum(n: int, f: Callable[[int], object]) -> MultiPoly | RatFunc:
+    """sum over lambda |- n of the product of f(h_u) over the cells u of lambda.
+
+    f is called once per hook length 1..n and returns a MultiPoly or
+    RatFunc.  Partitions are grouped by their sorted hook lengths, which
+    index the table of f's values, so lambda and its conjugate share a
+    group and no cell statistics are built."""
+    return _multiset_product_sum(
+        _hook_multisets(n, Partition.hook_lengths), [ONE, *map(f, range(1, n + 1))]
+    )
+
+
 def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFunc:
     """sum over the multisets of scale * prod of objects[i] over the multiset.
 
@@ -115,48 +127,53 @@ def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFun
     whose scales sum to 0 are skipped.  The sum runs in packed integers
     (multipoly.Packing): each object is a rational content times P/f, where
     P and f are its numerator and denominator over their contents, and P
-    and f are packed.  A multiset's scale and contents make one rational
-    weight, and the weights are brought over their common denominator L.
-    The live multisets are walked with _prefix_products, so each product of
-    images extends the one for a prefix it shares with another multiset.
-    Products with equal denominators are added first, and
-    _over_common_denominator brings the classes over
-    prod f^(largest multiplicity).  The total is read back once over L, and
-    only the final quotient is reduced: the result is a MultiPoly when the
-    denominators divide out, else a RatFunc.
+    and f are packed.  A multiset's scale and contents make one integer
+    weight over L, the lcm of the multisets' denominators, built from int
+    products with no Fraction per multiset.  The live multisets are walked
+    with _prefix_products, so each product of images extends the one for a
+    prefix it shares with another multiset.  Products with equal
+    denominators are added first, and _over_common_denominator brings the
+    classes over prod f^(largest multiplicity), taking the factors f in the
+    order of the fewest multiplicities, then the largest degree, then first
+    appearance, so the order in which the objects come matters to the
+    fold's cost only among factors tied on both.  The total is read back
+    once over L, and only the final quotient is reduced: the result is a
+    MultiPoly when the denominators divide out, else a RatFunc.
     """
-    nums, den_of, dens, contents = [], [], {}, []  # per object; den -> index
+    nums, den_of, dens, c_num, c_den = [], [], {}, [], []  # per object; den -> index
     for w in objects:
         if isinstance(w, MultiPoly):
-            nums.append(w)
-            den_of.append(None)
-            contents.append(w.content())
+            num, d, c = w, None, w.content()
         else:
-            nums.append(w.num)
-            den_of.append(dens.setdefault(w.den, len(dens)))
-            contents.append(w.num.content() / w.den.content())
-    polys = list(dens)
+            num, d = w.num, dens.setdefault(w.den, len(dens))
+            c = w.num.content() / w.den.content()
+        nums.append(num)
+        den_of.append(d)
+        c_num.append(c.numerator)
+        c_den.append(c.denominator)
     live = [key for key, scale in groups.items() if scale]
-    class_of = {key: tuple(sorted(den_of[i] for i in key if den_of[i] is not None)) for key in live}
-    den = Counter()
-    for ds in set(class_of.values()):
+    raw = {key: tuple(den_of[i] for i in key if den_of[i] is not None) for key in live}
+    den = Counter()  # denominator index -> its largest multiplicity
+    for ds in set(raw.values()):
         den |= Counter(ds)
+    by_index = list(dens)
+    order = sorted(den, key=lambda f: (
+        den[f], -sum(by_index[f].degree(VARIABLES[v]) for v in by_index[f].used_vars()), f
+    ))
+    rank = {f: r for r, f in enumerate(order)}
+    class_of = {key: tuple(sorted(map(rank.__getitem__, ds))) for key, ds in raw.items()}
+    polys, mult = [by_index[f] for f in order], [den[f] for f in order]
 
-    tops = [c.numerator for c in contents]
-    bottoms = [c.denominator for c in contents]
-    weights = {
-        key: groups[key] * Fraction(
-            math.prod(map(tops.__getitem__, key)), math.prod(map(bottoms.__getitem__, key))
-        )
-        for key in live
-    }
-    common = math.lcm(*(w.denominator for w in weights.values()))
-    weights = {key: w.numerator * (common // w.denominator) for key, w in weights.items()}
+    # Each weight's numerator and denominator, not reduced, then over L.
+    top = {key: groups[key].numerator * math.prod(map(c_num.__getitem__, key)) for key in live}
+    bottom = {key: groups[key].denominator * math.prod(map(c_den.__getitem__, key)) for key in live}
+    common = math.lcm(*bottom.values())
+    weights = {key: top[key] * (common // bottom[key]) for key in live}
 
     # The total's coefficients are bounded by its l1 norm, and its degree in
     # each variable by the largest multiset's plus the common denominator's.
     norms = list(map(Packing.norm, nums))
-    bound = math.prod(Packing.norm(polys[d]) ** m for d, m in den.items()) * sum(
+    bound = math.prod(Packing.norm(f) ** m for f, m in zip(polys, mult)) * sum(
         abs(weights[key]) * math.prod(map(norms.__getitem__, key)) for key in live
     )
     degrees = {}
@@ -164,31 +181,31 @@ def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFun
         name = VARIABLES[v]
         deg = [max(p.degree(name), 0) for p in nums]
         degrees[name] = max((sum(map(deg.__getitem__, key)) for key in live), default=0) + sum(
-            m * polys[d].degree(name) for d, m in den.items()
+            m * f.degree(name) for f, m in zip(polys, mult)
         )
     layout = Packing(degrees, bound)
 
     images = [layout.image(p) for p in nums]
-    classes = {}  # sorted denominator indices -> summed weighted products
+    classes = {}  # sorted factor positions -> summed weighted products
     for key, value in _prefix_products(live, 1, lambda p, i: p * images[i]):
         ds = class_of[key]
         classes[ds] = classes.get(ds, 0) + weights[key] * value
-    total = _over_common_denominator(classes, [layout.image(f) for f in polys], den, 0)
+    total = _over_common_denominator(classes, [layout.image(f) for f in polys], mult, 0)
     return layout.read(total, common) / math.prod(
-        (polys[d].primitive() ** m for d, m in den.items()), start=ONE
+        (f.primitive() ** m for f, m in zip(polys, mult)), start=ONE
     )
 
 
-def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -> int:
-    """sum of N_c * prod over f >= d of polys[f]^(den[f] - m_c(f)) over the
-    classes c (sorted tuples of denominator indices, m_c(f) the count of f
+def _over_common_denominator(classes: dict, polys: list, mult: list, d: int) -> int:
+    """sum of N_c * prod over f >= d of polys[f]^(mult[f] - m_c(f)) over the
+    classes c (sorted tuples of positions in polys, m_c(f) the count of f
     in c, N_c the summed numerator), by Horner's rule in each factor in turn;
     the numerators and factors are packed integers.
 
     The classes are grouped by their multiplicity j of factor d, and
     acc = acc * polys[d] + (the sum for group j over the later factors) for
-    j = 0..den[d], so group j is multiplied by polys[d] exactly
-    den[d] - j times, one small factor at a time.  Past the last factor the
+    j = 0..mult[d], so group j is multiplied by polys[d] exactly
+    mult[d] - j times, one small factor at a time.  Past the last factor the
     classes left agree on every multiplicity, so there is at most one.
     """
     if d == len(polys):
@@ -197,10 +214,10 @@ def _over_common_denominator(classes: dict, polys: list, den: Counter, d: int) -
     for ds, num in classes.items():
         by_j.setdefault(ds.count(d), {})[ds] = num
     f, acc = polys[d], 0
-    for j in range(den[d] + 1):
+    for j in range(mult[d] + 1):
         acc = acc * f
         if j in by_j:
-            acc = acc + _over_common_denominator(by_j[j], polys, den, d + 1)
+            acc = acc + _over_common_denominator(by_j[j], polys, mult, d + 1)
     return acc
 
 
@@ -209,39 +226,48 @@ def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
     return TruncatedSeries(order, [partition_product_sum(n, weight) for n in range(order + 1)])
 
 
-def linear_product_sum(n: int, factors: Callable) -> MultiPoly:
-    """sum over lambda |- n of w * prod_{r in shifts} (t + r), a polynomial in t.
+def linear_product_sum(n: int, factors: Callable, power: int) -> MultiPoly:
+    """sum over lambda |- n of w * prod_{r in shifts} (t + r), over n!^power.
 
     factors(lambda) returns (shifts, w): a sequence of integer shifts and an
-    int or Fraction weight w; no shifts give the constant w.  The sum runs in
-    packed integers (multipoly.Packing) over the lcm of the weights'
-    denominators, with sum |w| * prod (1 + |r|) as the coefficient bound.
-    Partitions with the same sorted shifts (lambda and its conjugate share
-    a hook multiset) add their weights first; shift tuples whose weights sum
-    to 0 are skipped, and the rest are walked with _prefix_products, so each
-    product extends the one for the longest prefix it shares with the tuple
-    before it by one big-integer product, by the image of t + r, per shift
-    that differs.  The total is read back once.
+    int weight w (any other weight raises TypeError); no shifts give the
+    constant w.  A weight such as 1/prod h_u is f^lambda/n! by the hook
+    length formula, so the caller passes f^lambda as w and 1 as power.
+    The sum runs over _shift_groups in packed integers (multipoly.Packing),
+    with sum |w| * prod (1 + |r|) as the coefficient bound: each product is
+    one math.prod over a table of the images of t + r, and the total is
+    read back once.
     """
-    terms = [factors(lam) for lam in partition_list(n)]
-    den = math.lcm(*(w.denominator for _, w in terms))
-    groups = {}  # sorted shifts -> summed weight times den
-    for shifts, w in terms:
-        scale = w.numerator * (den // w.denominator)
-        key = tuple(sorted(shifts))
-        groups[key] = groups.get(key, 0) + scale
-    live = [key for key, scale in groups.items() if scale]
-    bound = sum(abs(groups[key]) * math.prod(1 + abs(r) for r in key) for key in live)
+    live = _shift_groups(n, factors)
+    shifts = set(chain.from_iterable(live))
+    norm = {r: 1 + abs(r) for r in shifts}
+    bound = sum(abs(w) * math.prod(map(norm.__getitem__, key)) for key, w in live.items())
     layout = Packing({"t": max(map(len, live), default=0)}, bound)
-    t, total = layout.image(MultiPoly.var("t")), 0
-    for key, value in _prefix_products(live, 1, lambda p, r: p * (t + r)):
-        total += groups[key] * value
-    return layout.read(total, den)
+    t = layout.image(MultiPoly.var("t"))
+    image = {r: t + r for r in shifts}
+    total = sum(w * math.prod(map(image.__getitem__, key)) for key, w in live.items())
+    return layout.read(total, math.factorial(n) ** power)
 
 
-def linear_product_series(order: int, factors: Callable) -> TruncatedSeries:
-    """sum_n x^n linear_product_sum(n, factors)."""
-    return TruncatedSeries(order, [linear_product_sum(n, factors) for n in range(order + 1)])
+def _shift_groups(n: int, factors: Callable) -> dict:
+    """The summed int weight of each sorted shift tuple of factors over
+    lambda |- n (lambda and its conjugate share a hook multiset), without
+    the tuples whose weights sum to 0."""
+    groups = {}
+    for lam in partition_list(n):
+        shifts, w = factors(lam)
+        if not isinstance(w, int):
+            raise TypeError(f"cannot use {type(w).__name__} as an integer weight")
+        key = tuple(sorted(shifts))
+        groups[key] = groups.get(key, 0) + w
+    return {key: w for key, w in groups.items() if w}
+
+
+def linear_product_series(order: int, factors: Callable, power: int) -> TruncatedSeries:
+    """sum_n x^n linear_product_sum(n, factors, power)."""
+    return TruncatedSeries(
+        order, [linear_product_sum(n, factors, power) for n in range(order + 1)]
+    )
 
 
 def _census_series(
@@ -271,8 +297,10 @@ def hook_sum_series(order: int, f: Callable[[int], object]) -> TruncatedSeries:
     return _census_series(f, [hook_part_census(n)[1] for n in range(order + 1)])
 
 
+@functools.lru_cache(maxsize=None)
 def partition_gf(order: int) -> TruncatedSeries:
-    """prod_m 1/(1 - x^m), the plain partition generating series."""
+    """prod_m 1/(1 - x^m), the plain partition generating series; memoised,
+    as every Lambert-type right-hand side of one order multiplies by it."""
     return eta_product([(1, 0, 1)], order)
 
 
@@ -286,18 +314,24 @@ def hook_square_polynomial(n: int) -> MultiPoly:
     Memoised: C2.1, C2.2a and C2.2b all walk the same P_n.
     """
 
-    def factors(lam):
-        hooks = lam.hook_lengths()
-        return [h * h for h in hooks], Fraction(1, math.prod(hooks) ** 2)
+    def factors(lam):  # 1/prod h_u^2 = (f^lambda)^2/n!^2
+        f = lam.dim_sytx()
+        return [h * h for h in lam.hook_lengths()], f * f
 
-    return linear_product_sum(n, factors)
+    return linear_product_sum(n, factors, 2)
 
 
-def _shifted_hooks(n: int) -> list[MultiPoly]:
-    """[(t + h)/h for h = 0..n]; entry 0 is unused.  One object per h, so
+@functools.lru_cache(maxsize=None)
+def _shifted_hooks(n: int) -> tuple[MultiPoly, ...]:
+    """((t + h)/h for h = 0..n); entry 0 is unused.  One object per h, so
     each multiset of hooks is multiplied out once."""
     t = MultiPoly.var("t")
-    return [ONE] + [(t + h) * Fraction(1, h) for h in range(1, n + 1)]
+    return (ONE, *((t + h) * Fraction(1, h) for h in range(1, n + 1)))
+
+
+def _hook_multisets(n: int, hooks: Callable) -> Counter:
+    """How many partitions of n have each sorted tuple of hooks(lambda)."""
+    return Counter(map(tuple, map(sorted, map(hooks, partition_list(n)))))
 
 
 def _arm_free_hooks(lam: Partition) -> list[int]:
@@ -314,43 +348,32 @@ def _leg_free_hooks(lam: Partition) -> list[int]:
     return [parts[c - 1] - j + 1 for j, c in enumerate(lam.conjugate().parts, start=1)]
 
 
-def _free_hook_sum(n: int, hooks: Callable) -> MultiPoly:
-    """sum over lambda |- n of prod of (t + h)/h over h in hooks(lambda).
-
-    Partitions are grouped by their sorted hooks, which index the shared
-    table _shifted_hooks(n), and _multiset_product_sum adds up the groups."""
-    groups = {}
-    for lam in partition_list(n):
-        key = tuple(sorted(hooks(lam)))
-        groups[key] = groups.get(key, 0) + 1
-    return _multiset_product_sum(groups, _shifted_hooks(n))
-
-
 def arm_zero_sum(n: int) -> MultiPoly:
     """sum over lambda of prod over arm-free cells of (h_u + t)/h_u.
 
     Each row holds one arm-free cell, its last, so the hooks are read one
-    per row (_arm_free_hooks) instead of from every cell."""
-    return _free_hook_sum(n, _arm_free_hooks)
+    per row (_arm_free_hooks) instead of from every cell; partitions are
+    grouped by their sorted hooks, which index _shifted_hooks(n)."""
+    return _multiset_product_sum(_hook_multisets(n, _arm_free_hooks), _shifted_hooks(n))
 
 
 def leg_zero_sum(n: int) -> MultiPoly:
     """sum over lambda of prod over leg-free cells of (h_u + t)/h_u.
 
     Each column holds one leg-free cell, its bottom one, so the hooks are
-    read one per column (_leg_free_hooks)."""
-    return _free_hook_sum(n, _leg_free_hooks)
+    read one per column (_leg_free_hooks), grouped as in arm_zero_sum."""
+    return _multiset_product_sum(_hook_multisets(n, _leg_free_hooks), _shifted_hooks(n))
 
 
 def multiplicity_binomial_sum(n: int) -> MultiPoly:
     """sum over lambda of prod_j binom(k_j + t, k_j), k_j = multiplicity of j."""
 
-    def factors(lam):  # binom(t + k, k) = (t + 1)...(t + k)/k!
+    def factors(lam):  # binom(t + k, k) = (t + 1)...(t + k)/k!, over n! in all
         ks = lam.multiplicities().values()
         shifts = [i for k in ks for i in range(1, k + 1)]
-        return shifts, Fraction(1, math.prod(map(math.factorial, ks)))
+        return shifts, math.factorial(n) // math.prod(map(math.factorial, ks))
 
-    return linear_product_sum(n, factors)
+    return linear_product_sum(n, factors, 1)
 
 
 def max_unit_hooks(n: int) -> int:

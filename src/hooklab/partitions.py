@@ -24,7 +24,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import BudgetExceeded
 
@@ -98,12 +99,11 @@ class Partition:
     def hook_lengths(self) -> tuple[int, ...]:
         """All hook lengths, row by row; computed on the first call."""
         if self._hooks is None:
+            # 0-based row i and column j: hook = parts[i] + conj[j] - i - j - 1.
             conj = self.conjugate().parts
-            out = []
-            for i, p in enumerate(self.parts, start=1):
-                for j in range(1, p + 1):
-                    out.append(p + conj[j - 1] - i - j + 1)
-            self._hooks = tuple(out)
+            self._hooks = tuple([
+                p + conj[j] - i - j - 1 for i, p in enumerate(self.parts) for j in range(p)
+            ])
         return self._hooks
 
     def first_column_hooks(self) -> tuple[int, ...]:
@@ -379,8 +379,11 @@ def is_t_core(part: Partition, t: int) -> bool:
     return not part.contains_hook(t)
 
 
-def hook_part_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Over all partitions of n: (count of parts equal to i, count of hooks equal to i)."""
+@lru_cache(maxsize=None)
+def hook_part_census(n: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
+    """Over all partitions of n: (count of parts equal to i, count of hooks
+    equal to i).  Memoised; the counts are read-only mappings, so no caller
+    can change what the next one reads."""
     parts_count: dict[int, int] = {}
     hooks_count: dict[int, int] = {}
     for lam in partition_list(n):
@@ -388,7 +391,7 @@ def hook_part_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
             parts_count[p] = parts_count.get(p, 0) + 1
         for h in lam.hook_lengths():
             hooks_count[h] = hooks_count.get(h, 0) + 1
-    return parts_count, hooks_count
+    return MappingProxyType(parts_count), MappingProxyType(hooks_count)
 
 
 def rr_sets(n: int) -> tuple[list[Partition], list[Partition]]:

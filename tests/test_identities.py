@@ -23,6 +23,7 @@ from hooklab.identities import (
     det_bareiss,
     equivalence_classes_D,
     hook_falling_factorial_moment,
+    hook_product_sum,
     hook_square_polynomial,
     hook_sum_series,
     involution_moment_poly,
@@ -205,48 +206,51 @@ def _scalar_weight(stat, power):
     return lambda cs, lam: Fraction(stat(lam, cs.i, cs.j) ** power, cs.hook**power)
 
 
-# Each check's factors, built as the check builds them from whole-diagram
-# vectors, beside the per-cell weight that the generic partition_product_sum
-# multiplies out cell by cell.
+# Each check's factors and power, built as the check builds them from
+# whole-diagram vectors, beside the per-cell weight that the generic
+# partition_product_sum multiplies out cell by cell.
 PORTED_WEIGHTS = {
-    "X3.3": (_linear(_contents, 1), _shift_weight(_content, False, 1)),
-    "X3.4": (_linear(_contents, 2), _shift_weight(_content, False, 2)),
-    "C6.2a": (_linear(Partition.symplectic_contents, 1), _shift_weight(_sp, False, 1)),
-    "C6.2b": (_linear(Partition.orthogonal_contents, 1), _shift_weight(_orth, False, 1)),
+    "X3.3": (_linear(_contents, 1), 1, _shift_weight(_content, False, 1)),
+    "X3.4": (_linear(_contents, 2), 2, _shift_weight(_content, False, 2)),
+    "C6.2a": (_linear(Partition.symplectic_contents, 1), 1, _shift_weight(_sp, False, 1)),
+    "C6.2b": (_linear(Partition.orthogonal_contents, 1), 1, _shift_weight(_orth, False, 1)),
     "C6.2c-and-P6.1-sp": (
-        _constant(Partition.symplectic_contents, 1), _scalar_weight(_sp, 1)
+        _constant(Partition.symplectic_contents, 1), 1, _scalar_weight(_sp, 1)
     ),
-    "P6.1-orth": (_constant(Partition.orthogonal_contents, 1), _scalar_weight(_orth, 1)),
+    "P6.1-orth": (_constant(Partition.orthogonal_contents, 1), 1, _scalar_weight(_orth, 1)),
     "C6.3a-sp": (
         _linear(lambda lam: [a * a for a in lam.symplectic_contents()], 2),
+        2,
         _shift_weight(_sp, True, 2),
     ),
     "C6.3a-orth": (
         _linear(lambda lam: [a * a for a in lam.orthogonal_contents()], 2),
+        2,
         _shift_weight(_orth, True, 2),
     ),
-    "C6.3b": (_constant(Partition.symplectic_contents, 2), _scalar_weight(_sp, 2)),
+    "C6.3b": (_constant(Partition.symplectic_contents, 2), 2, _scalar_weight(_sp, 2)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PORTED_WEIGHTS))
 def test_linear_kernel_matches_generic_product_sum(name):
-    factors, cell_weight = PORTED_WEIGHTS[name]
+    factors, power, cell_weight = PORTED_WEIGHTS[name]
     for n in range(13):
-        got = linear_product_sum(n, factors)
+        got = linear_product_sum(n, factors, power)
         want = partition_product_sum(n, cell_weight)
         assert got == want, (name, n)
         assert got.render() == want.render()
 
 
 def test_linear_series_matches_generic_product_series():
-    factors, cell_weight = PORTED_WEIGHTS["C6.2a"]
-    got = linear_product_series(8, factors)
+    factors, power, cell_weight = PORTED_WEIGHTS["C6.2a"]
+    got = linear_product_series(8, factors, power)
     assert got.first_difference(partition_product_series(8, cell_weight)) is None
 
 
-def _linear_product_oracle(n, factors):
-    """Multiply w * (t + r) factor by factor as MultiPolys, partition by partition."""
+def _linear_product_oracle(n, factors, power):
+    """Multiply w * (t + r) factor by factor as MultiPolys, partition by
+    partition, and divide the sum by n!^power."""
     total = MultiPoly.const(0)
     for lam in partition_list(n):
         shifts, w = factors(lam)
@@ -254,31 +258,36 @@ def _linear_product_oracle(n, factors):
         for r in shifts:
             prod = prod * (T + r)
         total = total + prod
-    return total
+    return total * Fraction(1, math.factorial(n) ** power)
 
 
+# Each case's factors and power.
 EDGE_FACTORS = {
-    "empty-shifts": lambda lam: ((), Fraction(len(lam), 7)),
-    "zero-weight": lambda lam: (lam.hook_lengths(), len(lam) % 2),
-    "negative-shifts": lambda lam: (
-        [-h for h in lam.hook_lengths()] + [j - i - 3 for i, j in lam.cells()],
-        -1,
+    "empty-shifts": (lambda lam: ((), len(lam) * 7), 1),
+    "zero-weight": (lambda lam: (lam.hook_lengths(), len(lam) % 2), 0),
+    "negative-shifts": (
+        lambda lam: (
+            [-h for h in lam.hook_lengths()] + [j - i - 3 for i, j in lam.cells()], -1
+        ),
+        0,
     ),
-    # Denominators 2, 3, 4, 9, 5, 10 by length: the lcm grows as the sum runs
-    # and exceeds the largest denominator seen.
-    "mixed-denominators": lambda lam: (
-        [p - 2 for p in lam.parts],
-        Fraction((-1) ** len(lam), (10, 2, 3, 4, 9, 5)[len(lam) % 6]),
+    # Signed weights 2, 3, 4, 9, 5, 10 by length over n!^2: the sum shares
+    # some but not all of its factors with the denominator.
+    "mixed-denominators": (
+        lambda lam: (
+            [p - 2 for p in lam.parts], (-1) ** len(lam) * (10, 2, 3, 4, 9, 5)[len(lam) % 6]
+        ),
+        2,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_FACTORS))
 def test_linear_kernel_edge_cases_match_factor_products(name):
-    factors = EDGE_FACTORS[name]
+    factors, power = EDGE_FACTORS[name]
     for n in range(10):
-        got = linear_product_sum(n, factors)
-        want = _linear_product_oracle(n, factors)
+        got = linear_product_sum(n, factors, power)
+        want = _linear_product_oracle(n, factors, power)
         assert got == want, (name, n)
         assert got.render() == want.render()
 
@@ -296,32 +305,33 @@ def test_linear_kernel_single_products_match_factor_products():
         want = MultiPoly.const(w)
         for r in shifts:
             want = want * (T + r)
-        got = linear_product_sum(0, lambda lam: (shifts, w))
+        got = linear_product_sum(0, lambda lam: (shifts, w), 0)
         assert got == want, shifts
         assert got.degree("t") == len(shifts)
 
 
 def test_linear_kernel_small_and_degenerate_sums():
-    # n=0 sums over the empty partition alone.
-    assert linear_product_sum(0, lambda lam: ((), Fraction(3, 4))) == MultiPoly.const(
-        Fraction(3, 4)
-    )
-    assert linear_product_sum(0, lambda lam: ([5], 1)) == T + 5
-    assert linear_product_sum(0, lambda lam: (lam.hook_lengths(), 1)) == ONE
+    # n=0 sums over the empty partition alone, and 0! = 1.
+    assert linear_product_sum(0, lambda lam: ((), 3), 2) == MultiPoly.const(3)
+    assert linear_product_sum(0, lambda lam: ([5], 1), 1) == T + 5
+    assert linear_product_sum(0, lambda lam: (lam.hook_lengths(), 1), 0) == ONE
+    # Two partitions of 2, each weighing 3 over 2!^2.
+    assert linear_product_sum(2, lambda lam: ((), 3), 2) == MultiPoly.const(Fraction(3, 2))
     # [2] and [1,1] cancel; a zero weight everywhere sums to zero.
-    assert linear_product_sum(2, lambda lam: ([1, 2], 1 if len(lam) == 1 else -1)).is_zero()
-    assert linear_product_sum(6, lambda lam: ([3, -1], 0)).is_zero()
-    assert linear_product_sum(2, lambda lam: ([-1], Fraction(1, len(lam)))) == (
+    assert linear_product_sum(2, lambda lam: ([1, 2], 1 if len(lam) == 1 else -1), 0).is_zero()
+    assert linear_product_sum(6, lambda lam: ([3, -1], 0), 1).is_zero()
+    # 1/len(lam) is (2 // len(lam))/2!.
+    assert linear_product_sum(2, lambda lam: ([-1], 2 // len(lam)), 1) == (
         (T - 1) * Fraction(3, 2)
     )
 
 
 def test_linear_kernel_rejects_inexact_weights():
-    # Only ints and Fractions carry a denominator; a float never sums silently.
-    with pytest.raises(AttributeError, match="denominator"):
-        linear_product_sum(3, lambda lam: ((), 0.5))
-    with pytest.raises(AttributeError, match="denominator"):
-        linear_product_sum(3, lambda lam: ([1], MultiPoly.const(1)))
+    # A weight is an int over n!^power; a Fraction, a float or a MultiPoly
+    # never sums silently.
+    for w in (Fraction(1, 2), 0.5, MultiPoly.const(1)):
+        with pytest.raises(TypeError, match="integer weight"):
+            linear_product_sum(3, lambda lam: ([1], w if len(lam) == 2 else 1), 0)
 
 
 # ----- the prefix-product walk -------------------------------------------------------
@@ -370,14 +380,35 @@ def test_prefix_walk_products_do_not_depend_on_key_order():
     assert list(identities._prefix_products([()], ONE, None)) == [((), ONE)]
 
 
+def _recorded_shift_groups(monkeypatch):
+    """Record the live groups of every linear_product_sum."""
+    seen = []
+    groups = identities._shift_groups
+
+    def recorded(n, factors):
+        seen.append(groups(n, factors))
+        return seen[-1]
+
+    monkeypatch.setattr(identities, "_shift_groups", recorded)
+    return seen
+
+
+def test_linear_kernel_merges_equal_shift_multisets(monkeypatch):
+    # The hook-square sum has one live group per multiset of squared hooks,
+    # weighing (f^lambda)^2 summed over its partitions; lambda and its
+    # conjugate share one, so there are fewer groups than partitions.
+    n = 12
+    seen = _recorded_shift_groups(monkeypatch)
+    assert hook_square_polynomial.__wrapped__(n) == _hook_square_by_factors(n)
+    want = Counter()
+    for lam in partition_list(n):
+        want[tuple(sorted(h * h for h in lam.hook_lengths()))] += lam.dim_sytx() ** 2
+    assert seen == [dict(want)]
+    assert len(want) < len(partition_list(n))
+
+
 def test_prefix_walk_steps_once_per_distinct_prefix(monkeypatch):
     n = 12
-    want = _hook_square_by_factors(n)
-    steps = _counted_walks(monkeypatch)
-    hook_squares = {tuple(sorted(h * h for h in lam.hook_lengths())) for lam in partition_list(n)}
-    assert hook_square_polynomial.__wrapped__(n) == want
-    assert len(steps) == _distinct_prefixes(hook_squares) < sum(map(len, hook_squares))
-
     # arm_zero_sum keys its shared (t + h)/h objects by the hook h; there
     # are no denominators, so only the numerators walk.
     steps = _counted_walks(monkeypatch)
@@ -405,12 +436,12 @@ def test_cancelled_multisets_are_not_walked(monkeypatch):
     steps = _counted_walks(monkeypatch)
     assert partition_product_sum(3, _cancelling_weight) == _X * _Y * _Y
     assert len(steps) == 3  # X, Y, Y; walking {Z} would take one step more
-    steps.clear()
-    # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is walked.
+    # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is live.
+    seen = _recorded_shift_groups(monkeypatch)
     got = linear_product_sum(3, lambda lam: ([4], 1) if len(lam) == 3 else (
-        [len(lam), 3 - len(lam)], 1 if len(lam) == 1 else -1))
+        [len(lam), 3 - len(lam)], 1 if len(lam) == 1 else -1), 0)
     assert got == T + 4
-    assert steps == [4]
+    assert seen == [{(4,): 1}]
 
 
 # ----- unit hooks -------------------------------------------------------------------
@@ -697,6 +728,54 @@ def test_product_sum_over_shared_denominators_matches_ratfunc_sum():
         assert got.render() == want.render()
     assert set(dens[0]) == set(_DENOMINATORS)
     assert repeated and lacking
+
+
+# Objects over four denominators: T + 1/2 (content 1/2), T + 1 three times,
+# T^2 + 2 and T^3 - 2 once each; some multisets repeat an object or a
+# denominator, so the fold's multiplicities differ by factor.
+_FOLD_OBJECTS = [
+    ONE / (T + Fraction(1, 2)),
+    (2 * T + 1) / (T + 1),
+    (T - 3) / (T + 1),
+    Fraction(1, 3) / (T + 1),
+    (T + 2) / (T * T + 2),
+    (T * T - T) / (T**3 - 2),
+    T + Fraction(1, 2),
+    3 * T - 1,
+]
+
+
+def test_multiset_product_sum_does_not_depend_on_object_order():
+    rng = random.Random(11)
+    groups = {}
+    for _ in range(25):
+        key = tuple(sorted(rng.choices(range(len(_FOLD_OBJECTS)), k=rng.randint(0, 5))))
+        groups[key] = groups.get(key, 0) + rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+    want = MultiPoly.const(0)
+    for key, scale in groups.items():
+        prod = MultiPoly.const(scale)
+        for i in key:
+            prod = prod * _FOLD_OBJECTS[i]
+        want = want + prod
+    assert isinstance(want, RatFunc)
+    for _ in range(12):
+        perm = list(range(len(_FOLD_OBJECTS)))
+        rng.shuffle(perm)  # object i moves to position perm[i]
+        objects = [None] * len(perm)
+        for i, j in enumerate(perm):
+            objects[j] = _FOLD_OBJECTS[i]
+        moved = {tuple(sorted(perm[i] for i in key)): scale for key, scale in groups.items()}
+        got = identities._multiset_product_sum(moved, objects)
+        assert got == want, perm
+        assert got.render() == want.render()
+
+
+def test_hook_product_sum_matches_per_cell_sum():
+    for n in range(11):
+        got = hook_product_sum(n, surd_hook_factor)
+        want = partition_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
+        assert got == want, n
+        assert got.render() == want.render()
 
 
 def test_product_sum_past_the_exponent_limit_raises():

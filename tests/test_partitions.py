@@ -224,6 +224,11 @@ def test_hook_part_census_balance():
             assert i * parts_i == hooks_i
             assert parts_census.get(i, 0) == parts_i
             assert hooks_census.get(i, 0) == hooks_i
+    # The census is memoised, so a caller cannot write to it.
+    assert hook_part_census(10) is hook_part_census(10)
+    for census in hook_part_census(10):
+        with pytest.raises(TypeError):
+            census[1] = 0
 
 
 def test_t_core_matches_direct_hook_scan():

@@ -36,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CATALOGUE = ROOT / "tools" / "mutants.json"
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMEOUT = 300  # seconds per mutant; the unmutated run gets twice this
 
 
