@@ -40,35 +40,6 @@ CellWeight = Callable[[CellStats, Partition], object]
 # ----- partition-indexed series -------------------------------------------------
 
 
-def _prefix_products(keys, start, step):
-    """Yield (key, product) for each key, where product folds step over the
-    key's entries from start; a key is a tuple of sortable entries read as
-    a multiset, and each product is yielded once per key given.
-
-    Every key is read with its entries in one order, the most frequent
-    across all keys first (ties by value), and the keys so read are walked
-    in sorted order.  Keys that share a prefix are then adjacent, so a stack
-    holds the products of the previous key's prefixes and each key extends
-    the one for the longest prefix it shares: every distinct nonempty prefix
-    costs one step.  The products depend on neither the order of the keys
-    nor that of their entries; only the work does.
-    """
-    keys = list(keys)
-    freq = Counter(chain.from_iterable(keys))
-    order = sorted(freq, key=lambda v: (-freq[v], v))
-    rank = {v: r for r, v in enumerate(order)}
-    stack, prev = [start], ()
-    for ranks, key in sorted((tuple(sorted(map(rank.__getitem__, k))), k) for k in keys):
-        common, limit = 0, min(len(prev), len(ranks))
-        while common < limit and prev[common] == ranks[common]:
-            common += 1
-        del stack[common + 1 :]
-        for r in ranks[common:]:
-            stack.append(step(stack[-1], order[r]))
-        prev = ranks
-        yield key, stack[-1]
-
-
 def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
     """sum over lambda |- n of the product of weight(u) over the cells of lambda.
 
@@ -129,14 +100,14 @@ def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFun
     P and f are its numerator and denominator over their contents, and P
     and f are packed.  A multiset's scale and contents make one integer
     weight over L, the lcm of the multisets' denominators, built from int
-    products with no Fraction per multiset.  The live multisets are walked
-    with _prefix_products, so each product of images extends the one for a
-    prefix it shares with another multiset.  Products with equal
-    denominators are added first, and _over_common_denominator brings the
-    classes over prod f^(largest multiplicity), taking the factors f in the
-    order of the fewest multiplicities, then the largest degree, then first
-    appearance, so the order in which the objects come matters to the
-    fold's cost only among factors tied on both.  The total is read back
+    products with no Fraction per multiset.  Each live multiset's product of
+    images is one math.prod over the table of images, as in the linear
+    kernel.  Products with equal denominators are added first, and
+    _over_common_denominator brings the classes over prod f^(largest
+    multiplicity), taking the factors f in the order of the fewest
+    multiplicities, then the largest degree, then first appearance, so the
+    order in which the objects come matters to the fold's cost only among
+    factors tied on both.  The total is read back
     once over L, and only the final quotient is reduced: the result is a
     MultiPoly when the denominators divide out, else a RatFunc.
     """
@@ -187,9 +158,9 @@ def _multiset_product_sum(groups: dict, objects: Sequence) -> MultiPoly | RatFun
 
     images = [layout.image(p) for p in nums]
     classes = {}  # sorted factor positions -> summed weighted products
-    for key, value in _prefix_products(live, 1, lambda p, i: p * images[i]):
+    for key in live:
         ds = class_of[key]
-        classes[ds] = classes.get(ds, 0) + weights[key] * value
+        classes[ds] = classes.get(ds, 0) + weights[key] * math.prod(map(images.__getitem__, key))
     total = _over_common_denominator(classes, [layout.image(f) for f in polys], mult, 0)
     return layout.read(total, common) / math.prod(
         (f.primitive() ** m for f, m in zip(polys, mult)), start=ONE

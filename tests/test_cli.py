@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hooklab
+from hooklab import checks, cli
 from hooklab.cli import main, render_json
 from hooklab.harness import make_report, run_check
 
@@ -52,6 +53,30 @@ def test_refuted_check_exits_one(capsys):
     (entry,) = json.loads(out)["checks"]
     assert entry["status"] == "refuted"
     assert "n=10" in entry["witness"]
+
+
+def test_a_check_that_raises_exits_two(capsys, monkeypatch):
+    # The harness reports a runner's exception as an error, and an error
+    # outranks every other status in the exit code.
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(checks, "eulerian_coeff_A", broken)
+    code, out, _ = run_cli(capsys, "run", "--id", "L1.1", "--bound", "max_n=1", "--format", "json")
+    assert code == 2
+    (entry,) = json.loads(out)["checks"]
+    assert (entry["status"], entry["witness"], entry["notes"]) == (
+        "error", None, "RuntimeError: injected"
+    )
+
+
+def test_a_front_end_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "_emit", broken)
+    code, out, err = run_cli(capsys, "run", "--id", "L1.1", "--bound", "max_n=1")
+    assert (code, out, err) == (2, "", "internal error: RuntimeError: injected\n")
 
 
 def test_skipped_check_exits_zero(capsys):

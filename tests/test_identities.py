@@ -9,7 +9,6 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 
@@ -334,50 +333,7 @@ def test_linear_kernel_rejects_inexact_weights():
             linear_product_sum(3, lambda lam: ([1], w if len(lam) == 2 else 1), 0)
 
 
-# ----- the prefix-product walk -------------------------------------------------------
-
-
-def _reading(multisets):
-    """Each multiset's entries in the order the walk reads them: most
-    frequent across the multisets first, ties by value."""
-    freq = Counter(chain.from_iterable(multisets))
-    return {tuple(sorted(m, key=lambda v: (-freq[v], v))) for m in multisets}
-
-
-def _distinct_prefixes(multisets):
-    return len({key[:i] for key in _reading(multisets) for i in range(1, len(key) + 1)})
-
-
-def _counted_walks(monkeypatch):
-    """Route every _prefix_products walk through a step that records its factor."""
-    steps = []
-    walk = identities._prefix_products
-
-    def counted(keys, start, step):
-        return walk(keys, start, lambda acc, f: steps.append(f) or step(acc, f))
-
-    monkeypatch.setattr(identities, "_prefix_products", counted)
-    return steps
-
-
-# 3 is the most frequent entry, so (2, 3) is read as (3, 2), a prefix of the
-# next key read, (3, 2, 5); (3, 2, 5) and (2, 3, 5) are one multiset given twice.
-WALK_KEYS = [(), (2,), (2, 3), (3, 2, 5), (2, 3, 5), (2, 3, 3), (7, 3)]
-
-
-def test_prefix_walk_products_do_not_depend_on_key_order():
-    rng = random.Random(5)
-    for _ in range(20):
-        keys = WALK_KEYS[:]
-        rng.shuffle(keys)
-        steps = []
-        got = list(identities._prefix_products(
-            keys, 1, lambda acc, f: steps.append(f) or acc * f
-        ))
-        assert sorted(got) == sorted((k, math.prod(k)) for k in WALK_KEYS)
-        assert len(steps) == _distinct_prefixes(WALK_KEYS) == 7
-    assert list(identities._prefix_products([], ONE, None)) == []
-    assert list(identities._prefix_products([()], ONE, None)) == [((), ONE)]
+# ----- cancelled multisets and shift groups ----------------------------------------
 
 
 def _recorded_shift_groups(monkeypatch):
@@ -407,35 +363,40 @@ def test_linear_kernel_merges_equal_shift_multisets(monkeypatch):
     assert len(want) < len(partition_list(n))
 
 
-def test_prefix_walk_steps_once_per_distinct_prefix(monkeypatch):
-    n = 12
-    # arm_zero_sum keys its shared (t + h)/h objects by the hook h; there
-    # are no denominators, so only the numerators walk.
-    steps = _counted_walks(monkeypatch)
-    arm_free = set()
-    for lam in partition_list(n):
-        arm_free.add(tuple(sorted(cs.hook for cs in cell_stats(lam) if cs.arm == 0)))
-    assert arm_zero_sum(n) == _per_cell_oracle(n, _shifted_hook, lambda cs: cs.arm == 0)
-    assert len(steps) == _distinct_prefixes(arm_free) < sum(map(len, arm_free))
-
-
-_X, _Y, _Z = T + 1, T + 2, T + 3
+_X, _Y, _W = T + 1, T + 2, (T + 3) ** 4
 
 
 def _cancelling_weight(cs, lam):
-    """Over n = 3: (3) and (2,1) both give the multiset {Z} with scalars 1 and
-    -1, which cancel; (1,1,1) gives {X, Y, Y}."""
+    """Over n = 3: (3) and (2,1) both give the multiset {W} with scalars 1 and
+    -1, which cancel; (1,1,1) gives {X, Y, Y}, of lower degree than W."""
     if (cs.i, cs.j) == (1, 1):
-        return _X if len(lam) == 3 else _Z
+        return _X if len(lam) == 3 else _W
     if len(lam) == 3:
         return _Y
     return -1 if cs.i == 2 else 1
 
 
+def _recorded_layouts(monkeypatch):
+    """Record the degree bounds of every packed layout the kernels build."""
+    seen = []
+
+    class Recorded(identities.Packing):
+        __slots__ = ()
+
+        def __init__(self, degrees, bound):
+            seen.append(dict(degrees))
+            super().__init__(degrees, bound)
+
+    monkeypatch.setattr(identities, "Packing", Recorded)
+    return seen
+
+
 def test_cancelled_multisets_are_not_walked(monkeypatch):
-    steps = _counted_walks(monkeypatch)
+    # A cancelled multiset that were multiplied out would raise the
+    # layout's degree bound from 3, that of {X, Y, Y}, to 4, that of {W}.
+    layouts = _recorded_layouts(monkeypatch)
     assert partition_product_sum(3, _cancelling_weight) == _X * _Y * _Y
-    assert len(steps) == 3  # X, Y, Y; walking {Z} would take one step more
+    assert layouts == [{"t": 3}]
     # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is live.
     seen = _recorded_shift_groups(monkeypatch)
     got = linear_product_sum(3, lambda lam: ([4], 1) if len(lam) == 3 else (
