@@ -17,7 +17,6 @@ from .errors import (
     NotUnivariate,
     UnknownCheck,
     VariableOutOfScope,
-    WeightEvaluationError,
 )
 from .harness import (
     Check,
@@ -76,7 +75,6 @@ __all__ = [
     "VAR_INDEX",
     "VARIABLES",
     "VariableOutOfScope",
-    "WeightEvaluationError",
     "binomial_series",
     "cell_stats",
     "enumerate_sss_cores",

@@ -17,7 +17,6 @@ runs, never bound at import, so a rebound checks.<name> is seen.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -68,7 +67,6 @@ from .identities import (
     part_count_rhs_series,
     part_marker_rhs_series,
     part_sum_series,
-    partition_product_series,
     power_sum_rhs_series,
     power_traces,
     rr_count_series,
@@ -139,9 +137,10 @@ def _fraction_sum(terms) -> Fraction:
 
 
 def _linear(contents, power):
-    """linear_product_sum factors of prod_u (t + a_u)/h_u^power, where
-    contents(lam) gives a_u for every cell u; summed with the same power,
-    as 1/prod_u h_u = f^lambda/n! (the hook length formula)."""
+    """linear_product_sum factors of prod_u prod_x (x + a_u)/h_u^power, x
+    over its names, where contents(lam) gives a_u for every cell u; summed
+    with the same power, as 1/prod_u h_u = f^lambda/n! (the hook length
+    formula)."""
     return lambda lam: (contents(lam), lam.dim_sytx() ** power)
 
 
@@ -388,9 +387,8 @@ def _run_L31(bounds):
 
 def _run_X32(bounds):
     order = bounds["order"]
-    # One object per (content, hook), so partition_product_sum shares products.
-    table = functools.cache(lambda c, h: (_T + c) * (_V + c) * Fraction(1, h**2))
-    prod = partition_product_series(order, lambda cs, lam: table(cs.content, cs.hook))
+    # prod_u (t + c_u)(v + c_u)/h_u^2, by the content and hook length formulas.
+    prod = linear_product_series(order, _linear(_contents, 2), 2, "tv")
     closed = binomial_series(_T * _V, order)
     egf = egf_cycle_statistic(order, lambda lam: (_T * _V) ** len(lam))
     w = _series_mismatch(prod, closed) or _series_mismatch(closed, egf)

@@ -39,14 +39,5 @@ class UnknownCheck(HooklabError):
     """No check with the requested id exists in the registry."""
 
 
-class WeightEvaluationError(HooklabError):
-    """A cell weight failed to evaluate; carries the offending partition and cell."""
-
-    def __init__(self, message: str, partition=None, cell=None):
-        super().__init__(message)
-        self.partition = partition
-        self.cell = cell
-
-
 class ExponentOverflow(HooklabError):
     """A monomial exponent reached multipoly.EXP_LIMIT, the bound of a packed exponent slot."""

@@ -23,59 +23,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Sequence
 
-from .errors import NotSquare, WeightEvaluationError
+from .errors import NotSquare
 from .multipoly import VARIABLES, MultiPoly, ONE, Packing, RatFunc, ZERO
-from .partitions import (
-    CellStats,
-    Partition,
-    cell_stats,
-    hook_part_census,
-    partition_list,
-)
+from .partitions import Partition, hook_part_census, partition_list
 from .series import TruncatedSeries, eta_product, gaussian_binomial, geometric
-
-CellWeight = Callable[[CellStats, Partition], object]
 
 
 # ----- partition-indexed series -------------------------------------------------
-
-
-def partition_product_sum(n: int, weight: CellWeight) -> MultiPoly | RatFunc:
-    """sum over lambda |- n of the product of weight(u) over the cells of lambda.
-
-    Integer and Fraction weights multiply one scalar per partition.  Every
-    other weight is a MultiPoly or RatFunc object (a float or other inexact
-    weight raises TypeError), and partitions are grouped by the multiset of
-    these objects, by identity (numbered in order of first appearance), with
-    their scalars summed; _multiset_product_sum adds up the groups.  A
-    weight that returns one shared object per value (a table or a memoised
-    function) gets this sharing; fresh objects give the same sum but share
-    nothing.
-    """
-    index, objects, groups = {}, [], {}  # objects keeps every id distinct for the call
-    for lam in partition_list(n):
-        scale, key = 1, []
-        for cs in cell_stats(lam):
-            try:
-                w = weight(cs, lam)
-            except ZeroDivisionError as exc:
-                raise WeightEvaluationError(
-                    f"weight undefined: {exc}", partition=lam, cell=(cs.i, cs.j)
-                ) from exc
-            # MultiPoly first: a miss on Fraction goes through its slow ABC check.
-            if isinstance(w, (MultiPoly, RatFunc)):
-                i = index.get(id(w))
-                if i is None:
-                    i = index[id(w)] = len(objects)
-                    objects.append(w)
-                key.append(i)
-            elif isinstance(w, (int, Fraction)):
-                scale *= w
-            else:
-                raise TypeError(f"cannot use {type(w).__name__} as an exact cell weight")
-        key = tuple(sorted(key))
-        groups[key] = groups.get(key, 0) + scale
-    return _multiset_product_sum(groups, objects)
 
 
 def hook_product_sum(n: int, f: Callable[[int], object]) -> MultiPoly | RatFunc:
@@ -192,30 +146,27 @@ def _over_common_denominator(classes: dict, polys: list, mult: list, d: int) -> 
     return acc
 
 
-def partition_product_series(order: int, weight: CellWeight) -> TruncatedSeries:
-    """sum_n x^n sum_{lambda |- n} prod_u weight(u); empty products give 1."""
-    return TruncatedSeries(order, [partition_product_sum(n, weight) for n in range(order + 1)])
-
-
-def linear_product_sum(n: int, factors: Callable, power: int) -> MultiPoly:
-    """sum over lambda |- n of w * prod_{r in shifts} (t + r), over n!^power.
+def linear_product_sum(n: int, factors: Callable, power: int, names: str = "t") -> MultiPoly:
+    """sum over lambda |- n of w * prod_{r in shifts} prod_{x in names} (x + r),
+    over n!^power.
 
     factors(lambda) returns (shifts, w): a sequence of integer shifts and an
     int weight w (any other weight raises TypeError); no shifts give the
     constant w.  A weight such as 1/prod h_u is f^lambda/n! by the hook
     length formula, so the caller passes f^lambda as w and 1 as power.
+    names holds one-letter variables: "tv" gives (t + r)(v + r) per shift.
     The sum runs over _shift_groups in packed integers (multipoly.Packing),
-    with sum |w| * prod (1 + |r|) as the coefficient bound: each product is
-    one math.prod over a table of the images of t + r, and the total is
-    read back once.
+    with sum |w| * prod (1 + |r|)^len(names) as the coefficient bound: each
+    product is one math.prod over a table of the images of
+    prod_{x in names} (x + r), and the total is read back once.
     """
     live = _shift_groups(n, factors)
     shifts = set(chain.from_iterable(live))
-    norm = {r: 1 + abs(r) for r in shifts}
+    norm = {r: (1 + abs(r)) ** len(names) for r in shifts}
     bound = sum(abs(w) * math.prod(map(norm.__getitem__, key)) for key, w in live.items())
-    layout = Packing({"t": max(map(len, live), default=0)}, bound)
-    t = layout.image(MultiPoly.var("t"))
-    image = {r: t + r for r in shifts}
+    layout = Packing(dict.fromkeys(names, max(map(len, live), default=0)), bound)
+    xs = [layout.image(MultiPoly.var(x)) for x in names]
+    image = {r: math.prod(x + r for x in xs) for r in shifts}
     total = sum(w * math.prod(map(image.__getitem__, key)) for key, w in live.items())
     return layout.read(total, math.factorial(n) ** power)
 
@@ -234,10 +185,12 @@ def _shift_groups(n: int, factors: Callable) -> dict:
     return {key: w for key, w in groups.items() if w}
 
 
-def linear_product_series(order: int, factors: Callable, power: int) -> TruncatedSeries:
-    """sum_n x^n linear_product_sum(n, factors, power)."""
+def linear_product_series(
+    order: int, factors: Callable, power: int, names: str = "t"
+) -> TruncatedSeries:
+    """sum_n x^n linear_product_sum(n, factors, power, names)."""
     return TruncatedSeries(
-        order, [linear_product_sum(n, factors, power) for n in range(order + 1)]
+        order, [linear_product_sum(n, factors, power, names) for n in range(order + 1)]
     )
 
 

@@ -10,8 +10,8 @@ Conventions (all 1-based):
   * cell_stats gives each cell's CellStats: i, j, arm, leg, hook, content.
 
 A statistic of every cell comes in row-major cell order, computed in one
-pass over the diagram; hook_lengths and cell_stats are computed once per
-Partition object and kept on it, as conjugate is.
+pass over the diagram; hook_lengths is computed once per Partition object
+and kept on it, as conjugate is, and cell_stats is built afresh per call.
 
 Partitions of n are enumerated in reverse-lexicographic order, (n) first and
 (1, ..., 1) last.  That order is part of the contract: checks report the
@@ -37,7 +37,7 @@ class Partition:
     raises TypeError instead of being truncated or parsed.
     """
 
-    __slots__ = ("parts", "_conj", "_hooks", "_stats")
+    __slots__ = ("parts", "_conj", "_hooks")
 
     def __init__(self, parts=()):
         parts = tuple(map(operator.index, parts))
@@ -46,7 +46,7 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts
-        self._conj = self._hooks = self._stats = None
+        self._conj = self._hooks = None
 
     @property
     def n(self) -> int:
@@ -269,25 +269,23 @@ class CellStats(NamedTuple):
 
 
 def cell_stats(part: Partition) -> tuple[CellStats, ...]:
-    """Every cell's CellStats, row by row; built on the first call for part."""
-    if part._stats is None:
-        conj = part.conjugate().parts
-        new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
-        out = []
-        for i, p in enumerate(part.parts, start=1):
-            for j in range(1, p + 1):
-                arm = p - j
-                leg = conj[j - 1] - i
-                out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
-        part._stats = tuple(out)
-    return part._stats
+    """Every cell's CellStats, row by row."""
+    conj = part.conjugate().parts
+    new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
+    out = []
+    for i, p in enumerate(part.parts, start=1):
+        for j in range(1, p + 1):
+            arm = p - j
+            leg = conj[j - 1] - i
+            out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
+    return tuple(out)
 
 
 def _trusted(parts: tuple) -> Partition:
     """Wrap a tuple already known to be positive and weakly decreasing."""
     lam = Partition.__new__(Partition)
     lam.parts = parts
-    lam._conj = lam._hooks = lam._stats = None
+    lam._conj = lam._hooks = None
     return lam
 
 

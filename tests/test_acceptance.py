@@ -13,15 +13,16 @@ import time
 from fractions import Fraction
 
 from hooklab.harness import run_all, run_check
+from hooklab.checks import _constant
 from hooklab.cli import render_json
 from hooklab.identities import (
     hook_falling_factorial_moment,
+    linear_product_series,
     max_unit_hooks,
-    partition_product_series,
     rr_q_series,
 )
 from hooklab.multipoly import MultiPoly
-from hooklab.partitions import enumerate_sss_cores
+from hooklab.partitions import Partition, enumerate_sss_cores
 from hooklab.permstats import involution_trace_moment
 from hooklab.series import eta_product
 
@@ -155,8 +156,9 @@ def test_criterion_07_content_variant_suite(capfd):
             _expect(problems, cid, {"order": 12})
         _expect(problems, "C6.3c", {"max_n": 14})
         _expect(problems, "P6.4", {"max_k": 6, "max_m": 5})
-        lhs = partition_product_series(
-            2, lambda cs, lam: Fraction(lam.symplectic_content(cs.i, cs.j), cs.hook)
+        # sum over lambda |- 2 of prod_u sp(u)/h_u
+        lhs = linear_product_series(
+            2, _constant(Partition.symplectic_contents, 1), 1
         ).coefficient(2)
         rhs = eta_product([(4, 2, 1, True)], 2).coefficient(2)
         if lhs != MultiPoly.const(-1) or rhs != MultiPoly.const(-1):

@@ -128,6 +128,8 @@ FAULTS = [
      "x^2: 1 + 1/2*q + 1/2*t^2 vs 1/2*q + 1/2*t^2", ""),
     ("X3.2", {"order": 3}, "egf_cycle_statistic", (3,), bump(2), None,
      "x^2: 1/2*t*v + 1/2*t^2*v^2 vs 1 + 1/2*t*v + 1/2*t^2*v^2", ""),
+    ("X3.2", {"order": 3}, "linear_product_series", (3,), bump(2), None,
+     "x^2: 1 + 1/2*t*v + 1/2*t^2*v^2 vs 1/2*t*v + 1/2*t^2*v^2", ""),
     ("X3.3", {"order": 3}, "egf_cycle_statistic", (3,), bump(2), None,
      "x^2: t^2 vs 1 + t^2", ""),
     ("X3.4", {"max_n": 3}, "linear_product_sum", (2,), plus1, None,

@@ -7,14 +7,13 @@ next to it; the library paths being tested never enumerate the same way.
 import math
 import random
 from collections import Counter
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from hooklab import identities
 from hooklab.checks import _constant, _contents, _fraction_sum, _linear
-from hooklab.errors import ExponentOverflow, NotSquare, WeightEvaluationError
+from hooklab.errors import ExponentOverflow, NotSquare
 from hooklab.harness import run_check
 from hooklab.identities import (
     arm_zero_sum,
@@ -33,8 +32,6 @@ from hooklab.identities import (
     max_unit_hooks,
     multiplicity_binomial_sum,
     partition_gf,
-    partition_product_series,
-    partition_product_sum,
     part_count_rhs_series,
     part_marker_rhs_series,
     part_sum_series,
@@ -58,10 +55,11 @@ from hooklab.partitions import (
     partition_list,
     rr_sets,
 )
-from hooklab.series import binomial_poly
+from hooklab.series import TruncatedSeries, binomial_poly
 
 T = MultiPoly.var("t")
 Q = MultiPoly.var("q")
+V = MultiPoly.var("v")
 A = MultiPoly.var("a")
 
 
@@ -179,6 +177,35 @@ def test_hook_square_and_multiplicity_invariants_past_default_bounds():
             assert p.evaluate({"t": -1}) == (0 if n else 1)
 
 
+# ----- the per-cell product sum ------------------------------------------------------
+
+
+def _cell_product_sum(n, weight):
+    """sum over lambda |- n of the product of weight(u) over the cells of lambda.
+
+    Integer and Fraction weights multiply one scalar per partition; the
+    MultiPoly and RatFunc weights group partitions by their multiset of
+    objects, by identity, for identities._multiset_product_sum.  A weight
+    that returns shared objects gets the sharing; fresh objects give the
+    same sum without it.
+    """
+    index, objects, groups = {}, [], {}  # objects keeps every id distinct for the call
+    for lam in partition_list(n):
+        scale, key = 1, []
+        for cs in cell_stats(lam):
+            w = weight(cs, lam)
+            if isinstance(w, (MultiPoly, RatFunc)):
+                if id(w) not in index:
+                    index[id(w)] = len(objects)
+                    objects.append(w)
+                key.append(index[id(w)])
+            else:
+                scale *= w
+        key = tuple(sorted(key))
+        groups[key] = groups.get(key, 0) + scale
+    return identities._multiset_product_sum(groups, objects)
+
+
 # ----- the linear product kernel ----------------------------------------------------
 
 
@@ -206,9 +233,15 @@ def _scalar_weight(stat, power):
 
 
 # Each check's factors and power, built as the check builds them from
-# whole-diagram vectors, beside the per-cell weight that the generic
-# partition_product_sum multiplies out cell by cell.
+# whole-diagram vectors, beside the per-cell weight that _cell_product_sum
+# multiplies out cell by cell, and the variables if not t alone.
 PORTED_WEIGHTS = {
+    "X3.2": (
+        _linear(_contents, 2),
+        2,
+        lambda cs, lam: (T + cs.content) * (V + cs.content) * Fraction(1, cs.hook**2),
+        "tv",
+    ),
     "X3.3": (_linear(_contents, 1), 1, _shift_weight(_content, False, 1)),
     "X3.4": (_linear(_contents, 2), 2, _shift_weight(_content, False, 2)),
     "C6.2a": (_linear(Partition.symplectic_contents, 1), 1, _shift_weight(_sp, False, 1)),
@@ -233,10 +266,10 @@ PORTED_WEIGHTS = {
 
 @pytest.mark.parametrize("name", sorted(PORTED_WEIGHTS))
 def test_linear_kernel_matches_generic_product_sum(name):
-    factors, power, cell_weight = PORTED_WEIGHTS[name]
+    factors, power, cell_weight, *names = PORTED_WEIGHTS[name]
     for n in range(13):
-        got = linear_product_sum(n, factors, power)
-        want = partition_product_sum(n, cell_weight)
+        got = linear_product_sum(n, factors, power, *names)
+        want = _cell_product_sum(n, cell_weight)
         assert got == want, (name, n)
         assert got.render() == want.render()
 
@@ -244,7 +277,8 @@ def test_linear_kernel_matches_generic_product_sum(name):
 def test_linear_series_matches_generic_product_series():
     factors, power, cell_weight = PORTED_WEIGHTS["C6.2a"]
     got = linear_product_series(8, factors, power)
-    assert got.first_difference(partition_product_series(8, cell_weight)) is None
+    want = TruncatedSeries(8, [_cell_product_sum(n, cell_weight) for n in range(9)])
+    assert got.first_difference(want) is None
 
 
 def _linear_product_oracle(n, factors, power):
@@ -395,7 +429,7 @@ def test_cancelled_multisets_are_not_walked(monkeypatch):
     # A cancelled multiset that were multiplied out would raise the
     # layout's degree bound from 3, that of {X, Y, Y}, to 4, that of {W}.
     layouts = _recorded_layouts(monkeypatch)
-    assert partition_product_sum(3, _cancelling_weight) == _X * _Y * _Y
+    assert _cell_product_sum(3, _cancelling_weight) == _X * _Y * _Y
     assert layouts == [{"t": 3}]
     # (3) and (2,1) cancel on the shifts {1, 2}; (1,1,1) alone is live.
     seen = _recorded_shift_groups(monkeypatch)
@@ -489,29 +523,15 @@ def test_partition_gf_counts():
 
 
 def test_product_series_with_unit_weight_counts_partitions():
-    s = partition_product_series(8, lambda cs, lam: 1)
+    s = linear_product_series(8, lambda lam: ((), 1), 0)
     for n in range(9):
         assert s.coefficient(n).as_fraction() == partition_count(n)
 
 
 def test_product_sum_content_over_hook_known_case():
     # weight (t + c)/h summed over partitions of 1 is just t
-    val = partition_product_sum(
-        1, lambda cs, lam: (T + cs.content) / MultiPoly.const(cs.hook)
-    )
+    val = _cell_product_sum(1, lambda cs, lam: (T + cs.content) / MultiPoly.const(cs.hook))
     assert val == T
-
-
-def test_product_sum_surfaces_zero_division_with_location():
-    with pytest.raises(WeightEvaluationError) as err:
-        partition_product_sum(2, lambda cs, lam: Fraction(1, cs.content))
-    assert err.value.partition is not None
-    assert err.value.cell is not None
-    # The first partition of 4 is (4), whose hooks are 4, 3, 2, 1.
-    with pytest.raises(WeightEvaluationError) as err:
-        partition_product_sum(4, lambda cs, lam: Fraction(1, cs.hook - 2))
-    assert err.value.partition == Partition((4,))
-    assert err.value.cell == (1, 3)
 
 
 def _per_cell_oracle(n, weight, cell_filter=None):
@@ -628,7 +648,7 @@ _NEGATIVE = 1 - 2 * T
 )
 def test_product_sum_matches_per_cell_oracle(max_n, weight, oracle_weight, cell_filter):
     for n in range(max_n + 1):
-        got = partition_product_sum(n, weight)
+        got = _cell_product_sum(n, weight)
         want = _per_cell_oracle(n, oracle_weight or weight, cell_filter)
         assert got == want
         assert got.render() == want.render()
@@ -684,7 +704,7 @@ def test_product_sum_over_shared_denominators_matches_ratfunc_sum():
             for cs in cell_stats(lam):
                 prod = prod * _rational_hook(cs, lam)
             want = want + prod
-        got = partition_product_sum(n, _rational_hook)
+        got = _cell_product_sum(n, _rational_hook)
         assert got == want, n
         assert got.render() == want.render()
     assert set(dens[0]) == set(_DENOMINATORS)
@@ -734,7 +754,7 @@ def test_multiset_product_sum_does_not_depend_on_object_order():
 def test_hook_product_sum_matches_per_cell_sum():
     for n in range(11):
         got = hook_product_sum(n, surd_hook_factor)
-        want = partition_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
+        want = _cell_product_sum(n, lambda cs, lam: surd_hook_factor(cs.hook))
         assert got == want, n
         assert got.render() == want.render()
 
@@ -744,28 +764,7 @@ def test_product_sum_past_the_exponent_limit_raises():
     # refuses that degree before it builds an integer for it.
     big = MultiPoly.var("q", EXP_LIMIT // 2)
     with pytest.raises(ExponentOverflow):
-        partition_product_sum(2, lambda cs, lam: big)
-
-
-def test_product_sum_rejects_inexact_weights():
-    with pytest.raises(TypeError):
-        partition_product_sum(3, lambda cs, lam: 0.5)
-    with pytest.raises(TypeError):
-        partition_product_sum(3, lambda cs, lam: 1 if cs.arm else 1.0)
-    # A zero scalar in the same partition does not hide the float.
-    with pytest.raises(TypeError):
-        partition_product_sum(3, lambda cs, lam: 0 if cs.j == 1 else 0.5)
-    with pytest.raises(TypeError):
-        partition_product_sum(3, lambda cs, lam: 0.5 if cs.j == 1 else 0)
-
-
-def test_product_sum_accepts_exactly_exact_weights():
-    # bool is an int, so True and False are scalar weights.
-    assert partition_product_sum(3, lambda cs, lam: True) == MultiPoly.const(3)
-    assert partition_product_sum(3, lambda cs, lam: cs.j == 1) == ONE
-    for bad in (Decimal(1), 1j, "1"):
-        with pytest.raises(TypeError, match="exact cell weight"):
-            partition_product_sum(3, lambda cs, lam: bad)
+        hook_product_sum(2, lambda h: big)
 
 
 def _per_summand_oracle(order, f, items):

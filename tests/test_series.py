@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hooklab.checks import _contents, _linear
 from hooklab.errors import BadConstantTerm, DivisionByNonUnit
 from hooklab.identities import (
     _qpoch,
     arm_zero_sum,
     leg_zero_sum,
+    linear_product_series,
     partition_gf,
-    partition_product_series,
     rr_q_series,
     surd_hook_factor,
 )
@@ -117,7 +118,7 @@ def test_floats_are_rejected(build):
 
 
 def test_polynomial_builders_hold_only_multipoly_values():
-    t, v = MultiPoly.var("t"), MultiPoly.var("v")
+    t = MultiPoly.var("t")
     built = {
         "eta_product": eta_product([(1, 0, t + 1), (2, 1, 2, True)], 10),
         "binomial_series": binomial_series(t * t - 1, 8, deg=2),
@@ -125,10 +126,8 @@ def test_polynomial_builders_hold_only_multipoly_values():
         "involution_egf": involution_egf(8),
         "arm_zero_sum": TruncatedSeries(9, [arm_zero_sum(n) for n in range(10)]),
         "leg_zero_sum": TruncatedSeries(9, [leg_zero_sum(n) for n in range(10)]),
-        # X3.2's weight: every denominator is an integer, so it divides out.
-        "partition_product_series": partition_product_series(
-            7, lambda cs, lam: (t + cs.content) * (v + cs.content) * Fraction(1, cs.hook**2)
-        ),
+        # X3.2's sum: the denominator n!^2 is an integer, so it divides out.
+        "linear_product_series": linear_product_series(7, _linear(_contents, 2), 2, "tv"),
     }
     for kind in ("prop91", "prop92_middle", "prop92_right", "thm95"):
         built[kind] = rr_q_series(kind, 9)
