@@ -37,7 +37,6 @@ from .partitions import (
     is_t_core,
     partition_count,
     partition_list,
-    partitions_of,
     rr_sets,
 )
 from .series import (
@@ -85,7 +84,6 @@ __all__ = [
     "is_t_core",
     "partition_count",
     "partition_list",
-    "partitions_of",
     "registry",
     "rr_sets",
     "run_all",

@@ -306,10 +306,23 @@ def max_unit_hooks(n: int) -> int:
     A cell has hook length 1 exactly when its arm and leg are 0: it ends its
     row and the row below is shorter.  So each row longer than the next one
     holds one such cell, and those rows are the last of each distinct part.
+
+    So b_n is the most distinct part values of a partition of n, which a
+    knapsack over the part values gives in O(n^2) steps, with no partition
+    listed.  best[s] is the most distinct values of a partition of s into
+    parts below v; with v = 2 that is 1 for every s > 0, all ones.  g[s] is
+    the same with v used at least once: v added to a partition of s - v
+    without it (+1), or one more v added to one that has it already (+0,
+    so a value is never counted twice).  g's slots below v hold 0, which
+    never wins the max.
     """
-    if n == 0:
-        return 0
-    return max(len(set(lam.parts)) for lam in partition_list(n))
+    best = [0] + [1] * n
+    for v in range(2, n + 1):
+        g = [0] * (n + 1)
+        for s in range(v, n + 1):
+            g[s] = max(best[s - v] + 1, g[s - v])
+        best = list(map(max, best, g))
+    return best[n]
 
 
 def unit_hook_series(order: int, corrected: bool = False) -> TruncatedSeries:

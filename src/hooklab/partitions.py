@@ -16,6 +16,13 @@ and kept on it, as conjugate is, and cell_stats is built afresh per call.
 Partitions of n are enumerated in reverse-lexicographic order, (n) first and
 (1, ..., 1) last.  That order is part of the contract: checks report the
 first counterexample they meet, so witnesses are reproducible.
+
+partition_list(n) keeps a table of the partitions of each n <= N0 = 25
+for the life of the process, and past N0 returns a stream that makes them
+afresh on every iteration, so the memory it keeps does not grow with n.
+Both put k in front of each partition of n - k whose largest part is at
+most k (Knuth, TAOCP 4A, 7.2.1.4).  rr_sets(n) generates its two
+restricted families by descent, not by filtering every partition of n.
 """
 
 from __future__ import annotations
@@ -292,59 +299,77 @@ def _trusted(parts: tuple) -> Partition:
 EMPTY = Partition(())
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order, largest first."""
-    if n < 0:
-        raise ValueError("partitions of a negative integer")
-    if n == 0:
-        yield EMPTY
-        return
-    parts = [n]
-    while True:
-        yield _trusted(tuple(parts))
-        k = len(parts) - 1
-        while k >= 0 and parts[k] == 1:
-            k -= 1
-        if k < 0:
-            return
-        parts[k] -= 1
-        val = parts[k]
-        rem = n - sum(parts[: k + 1])
-        parts = parts[: k + 1]
-        while rem:
-            chunk = min(val, rem)
-            parts.append(chunk)
-            rem -= chunk
+#: The largest n whose partitions partition_list keeps: 9,296 partitions
+#: in all, and the largest n that a check reads at its default bounds.
+N0 = 25
 
 
 @lru_cache(maxsize=None)
-def partition_list(n: int) -> tuple[Partition, ...]:
-    """Cached tuple of partitions of n (reverse-lexicographic), built from
-    the cached lists of smaller n.
+def _table(n: int) -> tuple[Partition, ...]:
+    """The partitions of 0 <= n <= N0, by descent from the tables of
+    smaller n."""
+    return tuple(_descend(n, n, (), n - 1)) if n else (EMPTY,)
 
-    The partitions of n with largest part k are k followed by a partition
-    of n - k whose largest part is at most k.  In reverse-lexicographic
-    order those are a suffix of partition_list(n - k), found by bisecting
-    on the first part, so the list for n joins these suffixes for
-    k = n, n - 1, ..., 1.  The order is that of partitions_of(n), the lazy
-    generator that keeps no lists.
+
+def _capped(m: int, cap: int) -> tuple[Partition, ...]:
+    """The partitions of m <= N0 whose largest part is at most cap.  In
+    reverse-lexicographic order they are a suffix of _table(m), found by
+    bisecting on the first part; cap >= m keeps them all, and so needs no
+    first part, which the empty partition of 0 lacks."""
+    rest = _table(m)
+    if cap >= m:
+        return rest
+    lo, hi = 0, len(rest)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rest[mid].parts[0] > cap:
+            lo = mid + 1
+        else:
+            hi = mid
+    return rest[lo:]
+
+
+def _descend(m: int, cap: int, prefix: tuple, top: int) -> Iterator[Partition]:
+    """prefix followed by each partition of m whose largest part is at most
+    cap, in reverse-lexicographic order.  Up to m = top they are read from
+    the table for m; above it each first part k, largest first, goes in
+    front of the same descent for m - k, capped at k."""
+    if m <= top:
+        for mu in _capped(m, cap):
+            yield _trusted(prefix + mu.parts)
+        return
+    for k in range(min(m, cap), 0, -1):
+        yield from _descend(m - k, k, prefix + (k,), top)
+
+
+class PartitionStream:
+    """The partitions of n > N0 in reverse-lexicographic order, made afresh
+    by every iteration: nothing keeps them, or the hooks they memoise."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __iter__(self) -> Iterator[Partition]:
+        return _descend(self.n, self.n, (), N0)
+
+
+def partition_list(n: int) -> tuple[Partition, ...] | PartitionStream:
+    """The partitions of n in reverse-lexicographic order.
+
+    Up to N0 this is a tuple from a table kept for the life of the process;
+    past N0 it is a PartitionStream, which callers may iterate as often as
+    they like but not index or measure.  So the memory kept is bounded
+    whatever n a check asks for.  cache_info() reports the table's hits and
+    misses.
     """
     if n < 0:
         raise ValueError("partitions of a negative integer")
-    if n == 0:
-        return (EMPTY,)
-    out = [_trusted((n,))]
-    for k in range(n - 1, 0, -1):
-        rest = partition_list(n - k)
-        lo, hi = 0, len(rest)
-        while lo < hi:  # the first partition of n - k whose largest part is <= k
-            mid = (lo + hi) // 2
-            if rest[mid].parts[0] > k:
-                lo = mid + 1
-            else:
-                hi = mid
-        out.extend(_trusted((k,) + mu.parts) for mu in rest[lo:])
-    return tuple(out)
+    return _table(n) if n <= N0 else PartitionStream(n)
+
+
+partition_list.cache_info = _table.cache_info
 
 
 @lru_cache(maxsize=None)
@@ -392,17 +417,25 @@ def hook_part_census(n: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
     return MappingProxyType(parts_count), MappingProxyType(hooks_count)
 
 
+def _spaced(n: int, cap: int, gap: int, allowed, prefix: tuple = ()) -> Iterator[Partition]:
+    """prefix followed by each partition of n into allowed parts, the first
+    at most cap and each next one at most the one before minus gap, in
+    reverse-lexicographic order."""
+    if n == 0:
+        yield _trusted(prefix)
+        return
+    for p in range(min(n, cap), 0, -1):
+        if allowed(p):
+            yield from _spaced(n - p, p - gap, gap, allowed, prefix + (p,))
+
+
 def rr_sets(n: int) -> tuple[list[Partition], list[Partition]]:
     """(A_n, B_n): parts pairwise differing by >= 2, and parts congruent to
-    1 or 4 mod 5.  The two lists are equinumerous for every n."""
-    a_set = []
-    b_set = []
-    for lam in partition_list(n):
-        ps = lam.parts
-        if all(ps[i] - ps[i + 1] >= 2 for i in range(len(ps) - 1)):
-            a_set.append(lam)
-        if all(p % 5 in (1, 4) for p in ps):
-            b_set.append(lam)
+    1 or 4 mod 5, each in reverse-lexicographic order.  Both are generated
+    by descent, with no walk over the other partitions of n.  The two lists
+    are equinumerous for every n."""
+    a_set = list(_spaced(n, n, 2, lambda p: True))
+    b_set = list(_spaced(n, n, 0, lambda p: p % 5 in (1, 4)))
     return a_set, b_set
 
 
@@ -523,7 +556,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
     method="filter" brute-forces every partition of every n up to the exact
     (s, s+1)-core size bound and keeps the triple cores; transparently
     correct, used to cross-validate the beta walk at small s.  `budget` caps
-    the partitions scanned.  It memoises nothing.  Either method raises
+    the partitions scanned.  It memoises no family.  Either method raises
     BudgetExceeded past its budget.
     """
     if s < 1:
@@ -545,7 +578,7 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
         )
     members = []
     for size in range(bound + 1):
-        for lam in partitions_of(size):
+        for lam in partition_list(size):
             if is_t_core(lam, s) and is_t_core(lam, s + 1) and is_t_core(lam, s + 2):
                 members.append(lam)
     return _family(s, members)

@@ -451,12 +451,12 @@ def test_max_unit_hooks_brute_force():
             for lam in partition_list(n)
         )
 
-    values = [oracle(n) for n in range(21)]
+    values = [oracle(n) for n in range(31)]
     assert values[:11] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
-    assert [max_unit_hooks(n) for n in range(21)] == values
+    assert [max_unit_hooks(n) for n in range(31)] == values
 
-    fixed = unit_hook_series(20, corrected=True)
-    for n in range(21):
+    fixed = unit_hook_series(30, corrected=True)
+    for n in range(31):
         assert fixed.coefficient(n).as_fraction() == values[n]
 
 

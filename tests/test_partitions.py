@@ -1,15 +1,23 @@
 """Partition enumeration, per-cell statistics, cores and hook census."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hooklab
 from hooklab import partitions
 from hooklab.errors import BudgetExceeded
+from hooklab.harness import run_check
 from hooklab.partitions import (
+    N0,
     Partition,
+    _descend,
     _partition_from_beta,
     _semigroup_gaps,
     cell_stats,
@@ -18,13 +26,38 @@ from hooklab.partitions import (
     is_t_core,
     partition_count,
     partition_list,
-    partitions_of,
     rr_sets,
     sss_core_size_bound,
 )
 
 # p(0)..p(12)
 P_VALUES = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+
+def partitions_of(n):
+    """All partitions of n in reverse-lexicographic order, one at a time:
+    the oracle for partition_list, by a route of its own.  Each step lowers
+    the last part above 1 and refills the rest of n, re-summed from the
+    prefix, in parts no larger."""
+    if n == 0:
+        yield Partition(())
+        return
+    parts = [n]
+    while True:
+        yield Partition(parts)
+        k = len(parts) - 1
+        while k >= 0 and parts[k] == 1:
+            k -= 1
+        if k < 0:
+            return
+        parts[k] -= 1
+        val = parts[k]
+        rem = n - sum(parts[: k + 1])
+        parts = parts[: k + 1]
+        while rem:
+            chunk = min(val, rem)
+            parts.append(chunk)
+            rem -= chunk
 
 
 def all_partitions_upto(n):
@@ -44,20 +77,70 @@ def test_counts_match_known_values():
 
 
 def test_enumeration_is_reverse_lexicographic_and_duplicate_free():
-    for n in range(9):
-        lams = [lam.parts for lam in partitions_of(n)]
+    for n in [*range(9), N0 + 1]:
+        lams = [lam.parts for lam in partition_list(n)]
         assert lams == sorted(lams, reverse=True)
         assert len(set(lams)) == len(lams)
         assert all(sum(p) == n for p in lams)
 
 
 def test_partition_list_equals_the_generator_part_for_part():
-    for n in range(31):
-        assert [lam.parts for lam in partition_list(n)] == [
-            lam.parts for lam in partitions_of(n)
-        ]
+    for n in range(36):
+        lams = partition_list(n)
+        first = [lam.parts for lam in lams]
+        assert first == [lam.parts for lam in partitions_of(n)]
+        # A stream past N0 is made afresh by each pass: a second pass
+        # sees the same partitions, not an exhausted iterator.
+        assert [lam.parts for lam in lams] == first
+        assert isinstance(lams, tuple) == (n <= N0)
     with pytest.raises(ValueError):
         partition_list(-1)
+
+
+def test_the_stream_obeys_its_cap_at_every_part_size():
+    m = N0 + 2
+    every = [lam.parts for lam in partitions_of(m)]
+    for cap in range(1, m + 2):
+        want = [(9, *parts) for parts in every if parts[0] <= cap]
+        assert [lam.parts for lam in _descend(m, cap, (9,), N0)] == want
+
+
+def test_streamed_partitions_are_not_kept():
+    first = next(iter(partition_list(N0 + 1)))
+    assert first.parts == (N0 + 1,)
+    assert next(iter(partition_list(N0 + 1))) is not first
+    assert next(iter(partition_list(N0))) is partition_list(N0)[0]
+
+
+def test_the_table_holds_no_n_past_n0():
+    for n in range(N0 + 1):
+        partition_list(n)
+    assert partition_list.cache_info().currsize == N0 + 1
+    assert run_check("L9.3", {"max_n": 30}).status == "verified"
+    assert partition_list.cache_info().currsize == N0 + 1
+
+
+def test_l93_past_the_table_runs_in_bounded_memory():
+    """L9.3 at max_n=40 reads every partition of n <= 40 (215,308);
+    cached, those lists took about 60 MB, and streamed the process stays
+    near its size at import.  The child reports VmHWM, the peak resident
+    set of its own image: its ru_maxrss would count this test process's
+    too, since Linux carries it across exec."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
+    code = (
+        "import re; from hooklab.harness import run_check; "
+        "assert run_check('L9.3', {'max_n': 40}).status == 'verified'; "
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(hooklab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024, f"peak RSS {int(proc.stdout) / 1024:.1f} MB"
 
 
 def test_partition_validation():
@@ -66,7 +149,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition([1, 0])
     with pytest.raises(ValueError):
-        next(partitions_of(-1))
+        partition_list(-1)
     # parts must be integers, not values that int() would truncate or parse
     with pytest.raises(TypeError):
         Partition([2.7, 1])
@@ -76,8 +159,8 @@ def test_partition_validation():
 
 
 def test_enumerated_partitions_equal_validated_ones():
-    for n in range(13):
-        for lam in partitions_of(n):
+    for n in [*range(13), N0 + 1]:
+        for lam in partition_list(n):
             assert type(lam.parts) is tuple
             assert all(type(p) is int for p in lam.parts)
             assert lam == Partition(lam.parts)
@@ -176,6 +259,18 @@ def test_diagonal_hook_map_is_onto_the_gap2_set():
         image = {lam.diagonal_hooks() for lam in partition_list(n)}
         a_set = {lam.parts for lam in rr_sets(n)[0]}
         assert image == a_set
+
+
+def test_rr_sets_are_the_filtered_enumeration_in_order():
+    for n in range(N0 + 1):
+        lams = [lam.parts for lam in partitions_of(n)]
+        a_set, b_set = rr_sets(n)
+        assert [lam.parts for lam in a_set] == [
+            ps for ps in lams if all(a - b >= 2 for a, b in zip(ps, ps[1:]))
+        ]
+        assert [lam.parts for lam in b_set] == [
+            ps for ps in lams if all(p % 5 in (1, 4) for p in ps)
+        ]
 
 
 def test_rr_sets_are_equinumerous():
