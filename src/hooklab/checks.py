@@ -69,12 +69,15 @@ from .identities import (
     part_sum_series,
     power_sum_rhs_series,
     power_traces,
+    prop91_series,
+    prop92_middle_series,
+    prop92_right_series,
     rr_count_series,
     rr_product_series,
-    rr_q_series,
     squares_polynomial,
     squares_total,
     surd_hook_factor,
+    thm95_series,
     top_hook_series,
     unit_hook_series,
 )
@@ -512,20 +515,13 @@ def _run_C43(bounds):
 
 def _run_R41(bounds):
     def sides(n):
-        lhs = rhs = Fraction(0)
+        lhs, rhs = 0, Fraction(0)
         for lam in partition_list(n):
             kappa = len(lam)
-            mult = lam.multiplicities()
-            if lam.even == 0:
-                denom = 1
-                for j, m in mult.items():
-                    denom *= (j ** m) * math.factorial(m)
-                lhs += Fraction(2 ** kappa * bell_number(kappa), denom)
-            denom = 1
-            for m in mult.values():
-                denom *= math.factorial(m)
-            rhs += Fraction(2 ** kappa, denom)
-        return lhs, rhs
+            if lam.even == 0:  # 1/z_lambda = class_size/n!
+                lhs += 2 ** kappa * bell_number(kappa) * lam.class_size
+            rhs += Fraction(2 ** kappa, math.prod(map(math.factorial, lam.multiplicities().values())))
+        return Fraction(lhs, math.factorial(n)), rhs
 
     w = _mismatch(range(bounds["max_n"] + 1), sides, "n={}: {} vs {}")
     return _bad(w) if w else _ok(
@@ -538,17 +534,13 @@ def _run_R41(bounds):
 
 
 def _run_C52(bounds):
-    def sides(n, r):
-        lhs, rhs = hook_falling_factorial_moment(n, r)  # exactly two sides
-        return lhs, rhs
-
     if hook_falling_factorial_moment(1, 1) != (Fraction(1), Fraction(1)):
         return _bad("(n,r)=(1,1) is not (1,1)")
     if hook_falling_factorial_moment(2, 1) != (Fraction(5), Fraction(5)):
         return _bad("(n,r)=(2,1) is not (5,5)")
     w = _mismatch(
         ((n, r) for n in range(1, bounds["max_n"] + 1) for r in range(1, bounds["max_r"] + 1)),
-        sides, "n={}, r={}: {} vs {}",
+        hook_falling_factorial_moment, "n={}, r={}: {} vs {}",
     )
     return _bad(w) if w else _ok()
 
@@ -765,7 +757,7 @@ def _run_T90(bounds):
 def _run_P91(bounds):
     order = bounds["order"]
     lhs = top_hook_series(order, gap2_only=True)
-    rhs = rr_q_series("prop91", order)
+    rhs = prop91_series(order)
     w = _series_mismatch(lhs, rhs)
     if w:
         return _bad(w)
@@ -777,8 +769,8 @@ def _run_P91(bounds):
 def _run_P92(bounds):
     order = bounds["order"]
     lhs = top_hook_series(order)
-    mid = rr_q_series("prop92_middle", order)
-    right = rr_q_series("prop92_right", order)
+    mid = prop92_middle_series(order)
+    right = prop92_right_series(order)
     w = _series_mismatch(lhs, mid) or _series_mismatch(mid, right)
     if w:
         return _bad(w)
@@ -830,7 +822,7 @@ def _run_T95ii(bounds):
 def _run_T95iii(bounds):
     order = bounds["order"]
     lhs = TruncatedSeries(order, [squares_polynomial(n) for n in range(order + 1)])
-    rhs = rr_q_series("thm95", order)
+    rhs = thm95_series(order)
     w = _series_mismatch(lhs, rhs)
     if w:
         return _bad(w)

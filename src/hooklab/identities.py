@@ -9,7 +9,8 @@ partitions that produced it.
 
 Right-hand sides are built from their definitions: the Lambert-type sums
 sum_k c_k x^k / (1 - r x^k) as divisor sums (_lambert_rhs), the
-Rogers-Ramanujan-type denominators from the one product (c x; x)_k
+Rogers-Ramanujan-type sums sum_k c_k x^(d_k) / D_k term by term
+(_sparse_sum), most with denominators from the one product (c x; x)_k
 (_qpoch), and q-counts over partitions in one pass (_q_count).
 """
 
@@ -401,71 +402,63 @@ def _qpoch(coeff, k: int, order: int) -> TruncatedSeries:
     return result
 
 
-def rr_q_series(kind: str, order: int) -> TruncatedSeries:
-    """Sparse q-series sides of the square/first-hook identities.
+def _sparse_sum(
+    order: int, k0: int, degree: Callable, coeff: Callable, den: Callable
+) -> TruncatedSeries:
+    """sum_{k >= k0} coeff(k) x^degree(k) / den(k), for a degree that grows
+    with k: the sum stops at the first k whose degree passes the order."""
+    total = TruncatedSeries(order)
+    k = k0
+    while degree(k) <= order:
+        total = total + TruncatedSeries.monomial(order, degree(k), coeff(k)) / den(k)
+        k += 1
+    return total
 
-    kind="prop91":      sum_{k>=1} x^(k^2) q^(3k-2) / (qx;x)_k
-    kind="prop92_middle": sum_{k>=0} x^(k(k+1)) q^(2k) / ((qx;x)_k (qx;x)_{k+1})
-    kind="prop92_right": sum_n x^n sum_{j,i} q^j [q^(n-j)] binom(j-1, i)_q,
-                         with the empty-partition convention that the n=0
-                         coefficient is 1 (the printed double sum gives 0).
-    kind="thm95":       sum_{k>=0} x^(k^2) q^(k(k+1)(2k+1)/6)
-                                     / prod_{j=1..k} (1 - x^j q^(j(j+1)/2))^2
-    """
+
+def prop91_series(order: int) -> TruncatedSeries:
+    """sum_{k>=1} x^(k^2) q^(3k-2) / (qx;x)_k."""
     q = MultiPoly.var("q")
-    if kind == "prop91":
-        total = TruncatedSeries(order)
-        k = 1
-        while k * k <= order:
-            num = TruncatedSeries.monomial(order, k * k, q ** (3 * k - 2))
-            total = total + num / _qpoch(q, k, order)
-            k += 1
-        return total
-    if kind == "prop92_middle":
-        total = TruncatedSeries(order)
-        k = 0
-        while k * (k + 1) <= order:
-            num = TruncatedSeries.monomial(order, k * (k + 1), q ** (2 * k))
-            den = _qpoch(q, k, order) * _qpoch(q, k + 1, order)
-            total = total + num / den
-            k += 1
-        return total
-    if kind == "prop92_right":
-        coeffs = [ONE]
-        for n in range(1, order + 1):
-            acc = MultiPoly.const(0)
-            for j in range(1, n + 1):
-                row = MultiPoly.const(0)
-                for i in range(j):
-                    row = row + gaussian_binomial(j - 1, i)
-                c = row.coeff_of("q", n - j)
-                if not c.is_zero():
-                    acc = acc + MultiPoly.monomial({"q": j}, c.as_fraction())
-            coeffs.append(acc)
-        return TruncatedSeries(order, coeffs)
-    if kind == "thm95":
-        total = TruncatedSeries(order)
-        k = 0
-        while k * k <= order:
-            term = TruncatedSeries.monomial(order, k * k, q ** (k * (k + 1) * (2 * k + 1) // 6))
-            for j in range(1, k + 1):
-                block = 1 - TruncatedSeries.monomial(order, j, q ** (j * (j + 1) // 2))
-                term = term / (block * block)
-            total = total + term
-            k += 1
-        return total
-    raise ValueError(f"unknown q-series kind {kind!r}")
+    return _sparse_sum(order, 1, lambda k: k * k, lambda k: q ** (3 * k - 2),
+                       lambda k: _qpoch(q, k, order))
+
+
+def prop92_middle_series(order: int) -> TruncatedSeries:
+    """sum_{k>=0} x^(k(k+1)) q^(2k) / ((qx;x)_k (qx;x)_{k+1})."""
+    q = MultiPoly.var("q")
+    return _sparse_sum(order, 0, lambda k: k * (k + 1), lambda k: q ** (2 * k),
+                       lambda k: _qpoch(q, k, order) * _qpoch(q, k + 1, order))
+
+
+def prop92_right_series(order: int) -> TruncatedSeries:
+    """sum_n x^n sum_{j,i} q^j [q^(n-j)] binom(j-1, i)_q, with the
+    empty-partition convention that the n=0 coefficient is 1 (the printed
+    double sum gives 0).  Each row sum_i binom(j-1, i)_q is added up once,
+    and its q^e coefficient is the q^j coefficient of x^(j+e)."""
+    dense = [[1]] + [[0] * (n + 1) for n in range(1, order + 1)]  # dense[n][j]: x^n q^j
+    for j in range(1, order + 1):
+        row = sum((gaussian_binomial(j - 1, i) for i in range(j)), ZERO).dense_coeffs("q")
+        for e, c in enumerate(row[: order - j + 1]):
+            dense[j + e][j] = c
+    return TruncatedSeries(order, [MultiPoly.from_dense(d, "q") for d in dense])
+
+
+def thm95_series(order: int) -> TruncatedSeries:
+    """sum_{k>=0} x^(k^2) q^(k(k+1)(2k+1)/6) / prod_{j=1..k} (1 - x^j q^(j(j+1)/2))^2."""
+    q = MultiPoly.var("q")
+
+    def den(k):
+        blocks = (1 - TruncatedSeries.monomial(order, j, q ** (j * (j + 1) // 2))
+                  for j in range(1, k + 1))
+        return math.prod((block * block for block in blocks), start=TruncatedSeries(order, [1]))
+
+    return _sparse_sum(
+        order, 0, lambda k: k * k, lambda k: q ** (k * (k + 1) * (2 * k + 1) // 6), den
+    )
 
 
 def rr_count_series(order: int) -> TruncatedSeries:
-    """1 + sum_{k>=1} x^(k^2)/(x;x)_k; counts partitions with gaps >= 2."""
-    total = TruncatedSeries(order, [1])
-    k = 1
-    while k * k <= order:
-        num = TruncatedSeries.monomial(order, k * k)
-        total = total + num / _qpoch(1, k, order)
-        k += 1
-    return total
+    """sum_{k>=0} x^(k^2)/(x;x)_k; counts partitions with gaps >= 2."""
+    return _sparse_sum(order, 0, lambda k: k * k, lambda k: 1, lambda k: _qpoch(1, k, order))
 
 
 def rr_product_series(order: int) -> TruncatedSeries:

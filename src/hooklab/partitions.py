@@ -27,6 +27,7 @@ restricted families by descent, not by filtering every partition of n.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -278,13 +279,12 @@ class CellStats(NamedTuple):
 def cell_stats(part: Partition) -> tuple[CellStats, ...]:
     """Every cell's CellStats, row by row."""
     conj = part.conjugate().parts
-    new = tuple.__new__  # skips CellStats.__new__, a Python-level call per cell
     out = []
     for i, p in enumerate(part.parts, start=1):
         for j in range(1, p + 1):
             arm = p - j
             leg = conj[j - 1] - i
-            out.append(new(CellStats, (i, j, arm, leg, arm + leg + 1, j - i)))
+            out.append(CellStats(i, j, arm, leg, arm + leg + 1, j - i))
     return tuple(out)
 
 
@@ -319,14 +319,7 @@ def _capped(m: int, cap: int) -> tuple[Partition, ...]:
     rest = _table(m)
     if cap >= m:
         return rest
-    lo, hi = 0, len(rest)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rest[mid].parts[0] > cap:
-            lo = mid + 1
-        else:
-            hi = mid
-    return rest[lo:]
+    return rest[bisect.bisect_left(rest, -cap, key=lambda lam: -lam.parts[0]):]
 
 
 def _descend(m: int, cap: int, prefix: tuple, top: int) -> Iterator[Partition]:
@@ -464,11 +457,6 @@ class CoreFamily:
         return sum(self.sizes)
 
 
-def sss_core_size_bound(s: int) -> int:
-    """Exact maximum size of an (s, s+1)-core: (s^2-1)((s+1)^2-1)/24."""
-    return (s * s - 1) * ((s + 1) * (s + 1) - 1) // 24
-
-
 def _semigroup_gaps(s: int) -> list[int]:
     """Positive integers not representable as x*s + y*(s+1), x, y >= 0."""
     frob = s * (s + 1) - s - (s + 1)
@@ -491,14 +479,6 @@ def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
     desc = sorted(beta, reverse=True)
     L = len(desc)
     return _trusted(tuple(b - (L - idx) for idx, b in enumerate(desc, start=1)))
-
-
-def _family(s: int, members: list[Partition]) -> CoreFamily:
-    """The family in order of size, then of parts in reverse-lexicographic order."""
-    # Two stable sorts: by parts, largest first, then by size.
-    members.sort(key=operator.attrgetter("parts"), reverse=True)
-    members.sort(key=operator.attrgetter("n"))
-    return CoreFamily(s, tuple(members))
 
 
 def _beta_walk(s: int, budget: int) -> CoreFamily:
@@ -527,17 +507,21 @@ def _beta_walk(s: int, budget: int) -> CoreFamily:
             need = needs[j]
             if beta & need == need:
                 stack.append((j + 1, beta | 1 << gaps[j]))
-    return _family(s, members)
+    # In order of size, then of parts in reverse-lexicographic order: two
+    # stable sorts, by parts, largest first, then by size.
+    members.sort(key=operator.attrgetter("parts"), reverse=True)
+    members.sort(key=operator.attrgetter("n"))
+    return CoreFamily(s, tuple(members))
 
 
 #: The beta walk's family for each s walked so far in this process.
 _core_families: dict[int, CoreFamily] = {}
 
 
-def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> CoreFamily:
+def enumerate_sss_cores(s: int, budget: int = 200_000) -> CoreFamily:
     """All partitions that are simultaneously s-, (s+1)- and (s+2)-cores.
 
-    method="beta" walks first-column hook sets: the subsets of the gaps of
+    The walk reads first-column hook sets: the subsets of the gaps of
     <s, s+1> closed under subtracting s, s+1 and s+2, i.e. the order ideals
     of the gap poset.  The beta-set is an int bitmask (bit g for gap g), and
     each gap has a precomputed need mask, the bits of g - s, g - s - 1 and
@@ -552,33 +536,12 @@ def enumerate_sss_cores(s: int, method: str = "beta", budget: int = 200_000) -> 
     holds for a memoised family too: a call whose budget is below the
     family's size raises BudgetExceeded whether or not the family is
     memoised, and a walk that raises memoises nothing.
-
-    method="filter" brute-forces every partition of every n up to the exact
-    (s, s+1)-core size bound and keeps the triple cores; transparently
-    correct, used to cross-validate the beta walk at small s.  `budget` caps
-    the partitions scanned.  It memoises no family.  Either method raises
-    BudgetExceeded past its budget.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    if method == "beta":
-        family = _core_families.get(s)
-        if family is None:
-            family = _core_families[s] = _beta_walk(s, budget)
-        if family.count > budget:
-            raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
-        return family
-    if method != "filter":
-        raise ValueError(f"unknown enumeration method {method!r}")
-    bound = sss_core_size_bound(s)
-    total = sum(partition_count(k) for k in range(bound + 1))
-    if total > budget:
-        raise BudgetExceeded(
-            f"filter enumeration would scan {total} partitions, over budget {budget}"
-        )
-    members = []
-    for size in range(bound + 1):
-        for lam in partition_list(size):
-            if is_t_core(lam, s) and is_t_core(lam, s + 1) and is_t_core(lam, s + 2):
-                members.append(lam)
-    return _family(s, members)
+    family = _core_families.get(s)
+    if family is None:
+        family = _core_families[s] = _beta_walk(s, budget)
+    if family.count > budget:
+        raise BudgetExceeded(f"beta walk found over {budget} cores at s={s}")
+    return family

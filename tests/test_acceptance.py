@@ -19,7 +19,8 @@ from hooklab.identities import (
     hook_falling_factorial_moment,
     linear_product_series,
     max_unit_hooks,
-    rr_q_series,
+    prop91_series,
+    thm95_series,
 )
 from hooklab.multipoly import MultiPoly
 from hooklab.partitions import Partition, enumerate_sss_cores
@@ -194,11 +195,11 @@ def test_criterion_10_gap_two_suite(capfd):
     def body():
         problems = []
         _expect(problems, "P9.1", {"order": 12})
-        if rr_q_series("prop91", 4).coefficient(4) != 2 * Q ** 4:
+        if prop91_series(4).coefficient(4) != 2 * Q ** 4:
             problems.append("[x^4] spot of the first q-series is not 2q^4")
         _expect(problems, "P9.2", {"order": 12})
         _expect(problems, "T9.5iii", {"order": 12})
-        if rr_q_series("thm95", 2).coefficient(2) != 2 * Q ** 2:
+        if thm95_series(2).coefficient(2) != 2 * Q ** 2:
             problems.append("[x^2] spot of the theorem series is not 2q^2")
         _expect(problems, "L9.3", {"max_n": 25})
         _expect(problems, "C9.7", {"max_n": 14})

@@ -214,9 +214,9 @@ FAULTS = [
     ("T9.0", {"max_n": 3, "order": 3}, "rr_sets", (3,),
      lambda v: (v[0][:-1], v[1][:-1]), None,
      "n=3: series coefficient vs enumeration", ""),
-    ("P9.1", {"order": 4}, "rr_q_series", ("prop91", 4), bump(3), None,
+    ("P9.1", {"order": 4}, "prop91_series", (4,), bump(3), None,
      "x^3: q^3 vs 1 + q^3", ""),
-    ("P9.2", {"order": 3}, "rr_q_series", ("prop92_right", 3), bump(2), None,
+    ("P9.2", {"order": 3}, "prop92_right_series", (3,), bump(2), None,
      "x^2: 2*q^2 vs 1 + 2*q^2", ""),
     ("L9.3", {"max_n": 3}, "partition_list", (3,), lambda v: (*v, Partition([2, 2])), None,
      "[2,2]: diagonal hooks sum to 4", ""),
@@ -234,7 +234,7 @@ FAULTS = [
      "n=2: total 5 vs direct 4", ""),
     ("T9.5ii", {"max_n": 3}, "squares_polynomial", (2,), lambda p: p + Q - 1, None,
      "n=2: derivative at q=1", ""),
-    ("T9.5iii", {"order": 3}, "rr_q_series", ("thm95", 3), bump(3), None,
+    ("T9.5iii", {"order": 3}, "thm95_series", (3,), bump(3), None,
      "x^3: 3*q^3 vs 1 + 3*q^3", ""),
     ("C9.7", {"max_n": 3}, "partition_count", (3,), plus1, None,
      "n=3: classes cover 3 of 4", ""),

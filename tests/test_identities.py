@@ -37,12 +37,15 @@ from hooklab.identities import (
     part_sum_series,
     power_sum_rhs_series,
     power_traces,
+    prop91_series,
+    prop92_middle_series,
+    prop92_right_series,
     rr_count_series,
     rr_product_series,
-    rr_q_series,
     squares_polynomial,
     squares_total,
     surd_hook_factor,
+    thm95_series,
     top_hook_series,
     unit_hook_series,
 )
@@ -100,6 +103,13 @@ def test_squares_polynomial_and_total():
         assert squares_total(n) == poly.derivative("q").subs("q", 1).as_fraction()
     # frozen from the fitting scan
     assert [squares_total(n) for n in range(1, 9)] == [1, 4, 9, 21, 37, 73, 117, 202]
+    # Theorem 9.5(iii)'s sparse double series, at every truncation up to 14
+    fitted = [
+        sum((Q ** _squares_by_fitting(lam) for lam in partition_list(n)), MultiPoly.const(0))
+        for n in range(15)
+    ]
+    for order in range(15):
+        assert thm95_series(order) == TruncatedSeries(order, fitted[: order + 1])
 
 
 def test_equivalence_classes_partition_everything():
@@ -490,18 +500,19 @@ def test_top_hook_series_matches_enumeration(gap2):
 
 
 def test_rr_q_series_against_enumeration():
-    prop91 = rr_q_series("prop91", 10)
-    middle = rr_q_series("prop92_middle", 10)
+    prop91 = prop91_series(10)
+    middle = prop92_middle_series(10)
     for n in range(1, 11):
         assert prop91.coefficient(n) == _top_hook_poly(n, True)
         assert middle.coefficient(n) == _top_hook_poly(n, False)
     assert prop91.coefficient(4) == 2 * Q**4
     assert prop91.coefficient(1) == Q
-
-
-def test_rr_q_series_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        rr_q_series("nope", 5)
+    # The sparse sum takes its k = 2 term, x^4 q^4/(qx;x)_2, exactly when
+    # x^4 is inside the truncation: at order 4, not at order 3.
+    assert prop91_series(4).coefficient(4) == 2 * Q**4
+    assert prop91_series(3) == TruncatedSeries(3, [0, Q, Q**2, Q**3])
+    for order in range(15):
+        assert prop92_right_series(order) == prop92_middle_series(order)
 
 
 def test_rr_counts_match_products_and_sets():

@@ -27,7 +27,6 @@ from hooklab.partitions import (
     partition_count,
     partition_list,
     rr_sets,
-    sss_core_size_bound,
 )
 
 # p(0)..p(12)
@@ -354,19 +353,33 @@ def test_sss_core_members_really_are_cores():
                 assert is_t_core(lam, t)
 
 
+def _sss_core_size_bound(s):
+    """Exact maximum size of an (s, s+1)-core: (s^2-1)((s+1)^2-1)/24."""
+    return (s * s - 1) * ((s + 1) * (s + 1) - 1) // 24
+
+
+def _filtered_cores(s):
+    """Every partition of every n up to the (s, s+1)-core size bound that
+    is an s-, (s+1)- and (s+2)-core: brute force, with no beta-sets."""
+    return [
+        lam
+        for n in range(_sss_core_size_bound(s) + 1)
+        for lam in partition_list(n)
+        if all(is_t_core(lam, t) for t in (s, s + 1, s + 2))
+    ]
+
+
 def test_beta_walk_agrees_with_brute_force_filter():
     for s in range(1, 6):
         fast = enumerate_sss_cores(s)
-        slow = enumerate_sss_cores(s, method="filter")
-        assert sorted(m.parts for m in fast.members) == sorted(
-            m.parts for m in slow.members
-        )
+        slow = _filtered_cores(s)
+        assert sorted(m.parts for m in fast.members) == sorted(m.parts for m in slow)
 
 
 def test_filter_misses_nothing_up_to_the_size_bound():
     # the pair-core size bound caps simultaneous cores too
     for s in range(2, 5):
-        bound = sss_core_size_bound(s)
+        bound = _sss_core_size_bound(s)
         biggest = enumerate_sss_cores(s).max_size
         assert biggest <= bound
 
@@ -374,8 +387,6 @@ def test_filter_misses_nothing_up_to_the_size_bound():
 def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
         enumerate_sss_cores(0)
-    with pytest.raises(ValueError):
-        enumerate_sss_cores(3, method="magic")
     with pytest.raises(BudgetExceeded):
         enumerate_sss_cores(40, budget=10)
 
@@ -443,8 +454,3 @@ def test_a_walk_over_budget_memoises_nothing(no_families):
         enumerate_sss_cores(4, budget=8)
     assert no_families == {}
     assert enumerate_sss_cores(4).count == 9
-
-
-def test_the_filter_method_bypasses_the_memo(no_families):
-    assert enumerate_sss_cores(3, method="filter").count == 4
-    assert no_families == {}

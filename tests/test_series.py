@@ -15,8 +15,11 @@ from hooklab.identities import (
     leg_zero_sum,
     linear_product_series,
     partition_gf,
-    rr_q_series,
+    prop91_series,
+    prop92_middle_series,
+    prop92_right_series,
     surd_hook_factor,
+    thm95_series,
 )
 from hooklab.multipoly import ONE, VARIABLES, MultiPoly, RatFunc, exact_div
 from hooklab.partitions import partition_count, partition_list
@@ -129,8 +132,8 @@ def test_polynomial_builders_hold_only_multipoly_values():
         # X3.2's sum: the denominator n!^2 is an integer, so it divides out.
         "linear_product_series": linear_product_series(7, _linear(_contents, 2), 2, "tv"),
     }
-    for kind in ("prop91", "prop92_middle", "prop92_right", "thm95"):
-        built[kind] = rr_q_series(kind, 9)
+    for build in (prop91_series, prop92_middle_series, prop92_right_series, thm95_series):
+        built[build.__name__] = build(9)
     kinds = {name: {type(c) for c in s.coeffs} for name, s in built.items()}
     assert kinds == {name: {MultiPoly} for name in built}
     assert [type(surd_hook_factor(h)) for h in range(1, 13)] == [MultiPoly] * 2 + [RatFunc] * 10
