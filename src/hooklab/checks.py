@@ -52,7 +52,7 @@ from .identities import (
     arm_zero_sum,
     hook_falling_factorial_moment,
     hook_product_sum,
-    cycle_index_sum,
+    cycle_index_sums,
     det_bareiss,
     equivalence_classes_D,
     hook_square_polynomial,
@@ -61,7 +61,8 @@ from .identities import (
     leg_zero_sum,
     linear_product_series,
     linear_product_sum,
-    marked_power_rhs_series,
+    marked_hook_rhs_series,
+    marked_part_rhs_series,
     max_unit_hooks,
     multiplicity_binomial_sum,
     part_count_rhs_series,
@@ -78,8 +79,8 @@ from .identities import (
     squares_total,
     surd_hook_factor,
     thm95_series,
-    top_hook_series,
-    unit_hook_series,
+    top_hook_polynomial,
+    triangular_series,
 )
 from .series import (
     TruncatedSeries,
@@ -312,7 +313,7 @@ def _run_C21(bounds):
 def _run_C22a(bounds):
     for n in range(1, bounds["max_n"] + 1):
         p = hook_square_polynomial(n)
-        rep = sturm_analysis(p, "t")
+        rep = sturm_analysis(p)
         degree = max(p.as_univariate("t"))
         if not (rep.real_root_count == degree and rep.all_roots_simple and rep.all_roots_negative):
             return _bad(
@@ -328,15 +329,16 @@ def _run_C22a(bounds):
 
 def _run_C22b(bounds):
     for n in range(1, bounds["max_n"] + 1):
-        if not unimodal(hook_square_polynomial(n), "t"):
+        if not unimodal(hook_square_polynomial(n)):
             return _bad(f"n={n}")
     return _ok()
 
 
 def _run_P22(bounds):
     top = bounds["max_n"]
-    fixed = unit_hook_series(top, corrected=True)
-    printed = unit_hook_series(top)
+    tri = triangular_series(top)
+    fixed = (tri - 1) * geometric(top)
+    printed = tri * geometric(top) * TruncatedSeries.monomial(top, 1)
     maxima = [max_unit_hooks(n) for n in range(top + 1)]
     for n, b in enumerate(maxima):
         if fixed.coefficient(n).as_fraction() != b:
@@ -587,7 +589,7 @@ def _run_C62b(bounds):
 def _run_C62c(bounds):
     order = bounds["order"]
     lhs = linear_product_series(order, _constant(Partition.symplectic_contents, 1), 1)
-    rhs = eta_product([(4, 2, 1, True)], order)
+    rhs = eta_product([(4, 2, -1), (8, 4, 1)], order)
     w = _series_mismatch(lhs, rhs)
     if w:
         return _bad(w)
@@ -655,10 +657,9 @@ def _run_P71(bounds):
             for _ in range(n)
         ]
         det = det_bareiss(m)
-        traces = power_traces(m)
-        if cycle_index_sum(traces) != det:
+        newton, alt = cycle_index_sums(power_traces(m))
+        if newton != det:
             return _bad(f"trial {trial}, size {n}: trace form vs Bareiss determinant")
-        alt = cycle_index_sum(traces, sign_convention="alternating")
         if n % 2 == 1 and alt != det:
             alt_odd_matches = False
         if n % 2 == 0 and alt != -det:
@@ -696,12 +697,12 @@ def _run_C81(bounds):
         # Hooks and parts of a partition of n <= order are at most order.
         qpow = [_Q ** (h**alpha) for h in range(order + 1)]
         lhs1 = hook_sum_series(order, qpow.__getitem__)
-        rhs1 = marked_power_rhs_series(order, alpha, weighted=True)
+        rhs1 = marked_hook_rhs_series(order, alpha)
         w = _series_mismatch(lhs1, rhs1)
         if w:
             return _bad(f"alpha={alpha} hook display, {w}")
         lhs2 = part_sum_series(order, qpow.__getitem__)
-        rhs2 = marked_power_rhs_series(order, alpha, weighted=False)
+        rhs2 = marked_part_rhs_series(order, alpha)
         w = _series_mismatch(lhs2, rhs2)
         if w:
             return _bad(f"alpha={alpha} part display, {w}")
@@ -756,7 +757,9 @@ def _run_T90(bounds):
 
 def _run_P91(bounds):
     order = bounds["order"]
-    lhs = top_hook_series(order, gap2_only=True)
+    # The empty partition is left out: the constant term is 0.
+    tops = (top_hook_polynomial(rr_sets(n)[0]) for n in range(1, order + 1))
+    lhs = TruncatedSeries(order, [0, *tops])
     rhs = prop91_series(order)
     w = _series_mismatch(lhs, rhs)
     if w:
@@ -768,7 +771,9 @@ def _run_P91(bounds):
 
 def _run_P92(bounds):
     order = bounds["order"]
-    lhs = top_hook_series(order)
+    # The empty partition contributes q^0: the constant term is 1.
+    tops = (top_hook_polynomial(partition_list(n)) for n in range(1, order + 1))
+    lhs = TruncatedSeries(order, [1, *tops])
     mid = prop92_middle_series(order)
     right = prop92_right_series(order)
     w = _series_mismatch(lhs, mid) or _series_mismatch(mid, right)

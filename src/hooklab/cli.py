@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,9 +21,6 @@ SYNOPSIS = (
     "       hooklab run --id ID [--bound K=V]... [--format json|csv|text] [--out PATH]\n"
     "       hooklab run --all [--budget-seconds S] [--jobs N] [--format ...] [--out PATH]"
 )
-
-BUDGET_ENV = "HOOKLAB_BUDGET_SECONDS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit 2 on bad usage; the contract wants 3."""
@@ -55,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-seconds",
         type=float,
         default=None,
-        help=f"global time budget for --all (default: ${BUDGET_ENV} if set)",
+        help="global time budget for --all, in seconds",
     )
     run.add_argument(
         "--jobs",
@@ -156,16 +152,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         if args.bound:
             parser.error("--bound only applies to --id")
-        budget, source = args.budget_seconds, "--budget-seconds"
-        if budget is None and os.environ.get(BUDGET_ENV):
-            budget, source = os.environ[BUDGET_ENV], BUDGET_ENV
-        if budget is not None:
-            try:
-                budget = float(budget)
-            except ValueError:
-                parser.error(f"{source} wants a number, got {budget!r}")
-            if not budget >= 0:  # also false for NaN
-                parser.error(f"{source} wants a number >= 0, got {budget}")
+        budget = args.budget_seconds
+        if budget is not None and not budget >= 0:  # also false for NaN
+            parser.error(f"--budget-seconds wants a number >= 0, got {budget}")
         jobs = 1 if args.jobs is None else args.jobs
         if jobs < 1:
             parser.error(f"--jobs wants an integer >= 1, got {jobs}")

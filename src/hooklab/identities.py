@@ -22,12 +22,12 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotSquare
 from .multipoly import VARIABLES, MultiPoly, ONE, Packing, RatFunc, ZERO
 from .partitions import Partition, hook_part_census, partition_list
-from .series import TruncatedSeries, eta_product, gaussian_binomial, geometric
+from .series import TruncatedSeries, eta_product, gaussian_binomial
 
 
 # ----- partition-indexed series -------------------------------------------------
@@ -326,21 +326,10 @@ def max_unit_hooks(n: int) -> int:
     return best[n]
 
 
-def unit_hook_series(order: int, corrected: bool = False) -> TruncatedSeries:
-    """Product side of the max-unit-hook identity.
-
-    The eta block prod (1-x^(2j))^2 / prod (1-x^j) is the triangular-number
-    series 1 + x + x^3 + x^6 + ...  The direct form multiplies it by
-    x/(1-x); with corrected=True the constant term is removed before the
-    geometric accumulation instead.  The two differ from order 2 on, and
-    only the corrected form matches max_unit_hooks (the direct form counts
-    the empty staircase too).
-    """
-    eta = eta_product([(2, 0, -2), (1, 0, 1)], order)
-    if corrected:
-        return (eta - 1) * geometric(order)
-    x = TruncatedSeries.monomial(order, 1)
-    return eta * geometric(order) * x
+def triangular_series(order: int) -> TruncatedSeries:
+    """The eta block prod (1-x^(2j))^2 / prod (1-x^j) = 1 + x + x^3 + x^6 + ...,
+    the triangular-number series."""
+    return eta_product([(2, 0, -2), (1, 0, 1)], order)
 
 
 # ----- squares statistics --------------------------------------------------------
@@ -374,22 +363,9 @@ def equivalence_classes_D(n: int) -> dict[int, list[Partition]]:
 # ----- q-series with square / first-hook statistics ------------------------------
 
 
-def top_hook_series(order: int, gap2_only: bool = False) -> TruncatedSeries:
-    """sum_n x^n sum q^(h(1,1)) over partitions of n, optionally restricted to
-    partitions with parts differing by >= 2.
-
-    The empty partition contributes 1 (exponent 0) in the unrestricted sum and
-    is excluded from the restricted one, matching the k=0 / k>=1 base terms of
-    the q-series these sums are compared against.
-    """
-    coeffs = [ZERO if gap2_only else ONE]
-    for n in range(1, order + 1):
-        coeffs.append(_q_count(
-            lam.parts[0] + len(lam.parts) - 1
-            for lam in partition_list(n)
-            if not gap2_only or all(a - b >= 2 for a, b in zip(lam.parts, lam.parts[1:]))
-        ))
-    return TruncatedSeries(order, coeffs)
+def top_hook_polynomial(partitions: Iterable[Partition]) -> MultiPoly:
+    """sum of q^(h(1,1)) over the given partitions, h(1,1) = first part + length - 1."""
+    return _q_count(lam.parts[0] + len(lam.parts) - 1 for lam in partitions)
 
 
 def _qpoch(coeff, k: int, order: int) -> TruncatedSeries:
@@ -487,14 +463,17 @@ def power_sum_rhs_series(order: int, alpha: int) -> TruncatedSeries:
     return _lambert_rhs(order, lambda k, m: k ** (alpha + 1))
 
 
-def marked_power_rhs_series(order: int, alpha: int, weighted: bool) -> TruncatedSeries:
-    """prod 1/(1-x^m) * sum_k (k if weighted else 1) x^k q^(k^alpha)/(1-x^k).
-
-    The weighted form pairs with the hook sum, the unweighted with the part
-    sum; differentiating in q at q=1 recovers the plain power sums.
-    """
+def marked_hook_rhs_series(order: int, alpha: int) -> TruncatedSeries:
+    """prod 1/(1-x^m) * sum_k k x^k q^(k^alpha)/(1-x^k); pairs with the hook
+    sum, and differentiating in q at q=1 recovers the plain power sum."""
     q = MultiPoly.var("q")
-    return _lambert_rhs(order, lambda k, m: q ** (k**alpha) * (k if weighted else 1))
+    return _lambert_rhs(order, lambda k, m: q ** (k**alpha) * k)
+
+
+def marked_part_rhs_series(order: int, alpha: int) -> TruncatedSeries:
+    """prod 1/(1-x^m) * sum_k x^k q^(k^alpha)/(1-x^k); pairs with the part sum."""
+    q = MultiPoly.var("q")
+    return _lambert_rhs(order, lambda k, m: q ** (k**alpha))
 
 
 def part_marker_rhs_series(order: int) -> TruncatedSeries:
@@ -629,33 +608,26 @@ def power_traces(m: Matrix) -> list[Fraction]:
     return [Fraction(sum(p[i][i] for i in range(n)), d**k) for k, p in enumerate(powers, 1)]
 
 
-def cycle_index_sum(
-    traces: Sequence[Fraction], sign_convention: str = "newton"
-) -> Fraction:
-    """(1/n!) sum over S_n of sign * t_1^c_1 ... t_n^c_n, t_i = traces[i - 1].
+def cycle_index_sums(traces: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """(1/n!) sum over S_n of sign * t_1^c_1 ... t_n^c_n, t_i = traces[i - 1],
+    under two signs: (newton, alternating).
 
-    sign_convention="newton" uses (-1)^(n - cycles), which reproduces det(M)
-    from power_traces(M); "alternating" uses (-1)^(cycles - 1).  Both sum
-    over the partitions of n read as cycle lengths, weighted by their class
-    sizes, never permutation by permutation.
+    The newton sign (-1)^(n - cycles) reproduces det(M) from power_traces(M);
+    the alternating sign is (-1)^(cycles - 1).  Both sum over the partitions
+    of n read as cycle lengths, weighted by their class sizes, never
+    permutation by permutation, and each class's term is formed once.
 
-    The sum runs in ints: with D the lcm of the traces' denominators,
+    The sums run in ints: with D the lcm of the traces' denominators,
     a_j = t_j D^j is an integer, and since the parts of each lambda sum to
     n, prod_{j in lambda} t_j = prod_{j in lambda} a_j / D^n.
     """
-    if sign_convention not in ("newton", "alternating"):
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
     n = len(traces)
     d = math.lcm(*(t.denominator for t in traces))
     a = [t.numerator * (d**j // t.denominator) for j, t in enumerate(traces, start=1)]
-    total = 0
+    newton = alternating = 0
     for lam in partition_list(n):
-        prod = 1
-        for j in lam.parts:
-            prod *= a[j - 1]
-        if sign_convention == "newton":
-            sign = -1 if (n - len(lam)) % 2 else 1
-        else:
-            sign = -1 if (len(lam) - 1) % 2 else 1
-        total += sign * lam.class_size * prod
-    return Fraction(total, d**n * math.factorial(n))
+        term = lam.class_size * math.prod(a[j - 1] for j in lam.parts)
+        newton += -term if (n - len(lam)) % 2 else term
+        alternating += -term if (len(lam) - 1) % 2 else term
+    scale = d**n * math.factorial(n)
+    return Fraction(newton, scale), Fraction(alternating, scale)

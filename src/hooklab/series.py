@@ -183,14 +183,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def first_difference(self, other: TruncatedSeries) -> int | None:
-        """Smallest n where coefficients differ, or None if equal throughout."""
-        self._check_compatible(other)
-        for n, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
-            if a != b:
-                return n
-        return None
-
     # ----- transcendental operations ---------------------------------------
 
     def exp(self) -> TruncatedSeries:
@@ -319,23 +311,20 @@ def binomial_poly(p: MultiPoly, k: int) -> MultiPoly:
 
 
 def eta_product(factors, order: int) -> TruncatedSeries:
-    """prod over (stride, offset, exponent[, plus]) of
+    """prod over (stride, offset, exponent) of
     prod_{j>=1} (1 - x^(stride*j - offset))^(-exponent).
 
-    Exponents may be polynomials.  A factor tuple may carry a fourth, boolean
-    entry selecting (1 + ...) instead of (1 - ...).  The offset must be below
-    the stride, so that every factor has positive degree.  The logs of all
-    factors are summed and exponentiated once.
+    Exponents may be polynomials.  A factor 1 + y is written (1 - y^2)/(1 - y).
+    The offset must be below the stride, so that every factor has positive
+    degree.  The logs of all factors are summed and exponentiated once.
     """
     total = TruncatedSeries(order)
-    for fac in factors:
-        stride, offset, expo = fac[:3]
-        plus = len(fac) > 3 and fac[3]
+    for stride, offset, expo in factors:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         if offset >= stride:
             raise ValueError(f"offset {offset} must be below stride {stride}")
         neg_e = -_element(expo)
         for deg in range(stride - offset, order + 1, stride):
-            total = total + log_one_minus(order, deg, -1 if plus else 1) * neg_e
+            total = total + log_one_minus(order, deg) * neg_e
     return total.exp()

@@ -1,4 +1,4 @@
-"""Exact real-root counting for univariate rational polynomials.
+"""Exact real-root counting for rational polynomials in t.
 
 Sturm chains over primitive integer coefficients: the chain of p and p'
 counts the distinct real roots of p even when p is not squarefree, and its
@@ -44,14 +44,14 @@ class SturmReport:
     all_roots_negative: bool
 
 
-def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
-    """Distinct-real-root count, simplicity, and negativity for a univariate
-    polynomial.
+def sturm_analysis(p: MultiPoly) -> SturmReport:
+    """Distinct-real-root count, simplicity, and negativity for a polynomial
+    in t.
 
     all_roots_negative refers to the real roots only, so it is vacuously true
     when there are none (e.g. t^2 + 1).
     """
-    dense = p.dense_prim(name)
+    dense = p.dense_prim("t")
     if not p:
         raise ValueError("sturm analysis of the zero polynomial")
     if len(dense) == 1:
@@ -73,9 +73,9 @@ def sturm_analysis(p: MultiPoly, name: str = "t") -> SturmReport:
     return SturmReport(total, len(chain[-1]) == 1, negative)
 
 
-def unimodal(p: MultiPoly, name: str = "t") -> bool:
-    """True when the dense coefficient list weakly rises then weakly falls."""
-    coeffs = p.dense_prim(name)
+def unimodal(p: MultiPoly) -> bool:
+    """True when the coefficients in t weakly rise then weakly fall."""
+    coeffs = p.dense_prim("t")
     i = 0
     while i + 1 < len(coeffs) and coeffs[i] <= coeffs[i + 1]:
         i += 1

@@ -161,7 +161,7 @@ def test_criterion_07_content_variant_suite(capfd):
         lhs = linear_product_series(
             2, _constant(Partition.symplectic_contents, 1), 1
         ).coefficient(2)
-        rhs = eta_product([(4, 2, 1, True)], 2).coefficient(2)
+        rhs = eta_product([(4, 2, -1), (8, 4, 1)], 2).coefficient(2)
         if lhs != MultiPoly.const(-1) or rhs != MultiPoly.const(-1):
             problems.append("x^2 spot coefficient is not -1 on both sides")
         return problems

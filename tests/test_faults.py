@@ -78,8 +78,8 @@ def inject(monkeypatch, name, args, change, nth=None):
 
 
 # (check, bounds, faulted name, argument prefix, change, nth, witness, notes);
-# P7.1's trial 0 has size 1 and trial 1 size 2, so its two cycle_index_sum
-# rows break the odd-size and the even-size sign rule.
+# P7.1's trial 0 has size 1 and trial 1 size 2, so its two cycle_index_sums
+# rows break the odd-size and the even-size sign rule of the alternating sum.
 FAULTS = [
     ("L1.1", {"max_n": 2}, "eulerian_coeff_A", (1, 1), plus1, None,
      "doubling at n=1, k=1: 2 vs 0", ""),
@@ -185,17 +185,19 @@ FAULTS = [
      "k=1, m=2: y2 + y1 vs 1 + y2 + y1", ""),
     ("P7.1", {"trials": 2, "max_size": 2}, "det_bareiss", (), plus1, 1,
      "trial 1, size 2: trace form vs Bareiss determinant", ""),
-    ("P7.1", {"trials": 2, "max_size": 2}, "cycle_index_sum", (), plus1, 1,
+    ("P7.1", {"trials": 2, "max_size": 2}, "cycle_index_sums", (),
+     lambda v: (v[0], v[1] + 1), 0,
      "alternating sign did not follow the (-1)^(size+1) * det pattern",
      "trace-sum determinant with the (-1)^(size-cycles) sign matched the Bareiss determinant"),
-    ("P7.1", {"trials": 2, "max_size": 2}, "cycle_index_sum", (), plus1, 3,
+    ("P7.1", {"trials": 2, "max_size": 2}, "cycle_index_sums", (),
+     lambda v: (v[0], v[1] + 1), 1,
      "alternating sign did not follow the (-1)^(size+1) * det pattern",
      "trace-sum determinant with the (-1)^(size-cycles) sign matched the Bareiss determinant"),
     ("E8.3", {"order": 3, "max_alpha": 1}, "power_sum_rhs_series", (3, 1), bump(2), None,
      "alpha=1, x^2: 6 vs 7", ""),
-    ("C8.1", {"order": 3, "max_alpha": 1}, "marked_power_rhs_series", (3, 1), bump(2), 0,
+    ("C8.1", {"order": 3, "max_alpha": 1}, "marked_hook_rhs_series", (3, 1), bump(2), None,
      "alpha=1 hook display, x^2: 2*q + 2*q^2 vs 1 + 2*q + 2*q^2", ""),
-    ("C8.1", {"order": 3, "max_alpha": 1}, "marked_power_rhs_series", (3, 1), bump(2), 1,
+    ("C8.1", {"order": 3, "max_alpha": 1}, "marked_part_rhs_series", (3, 1), bump(2), None,
      "alpha=1 part display, x^2: 2*q + q^2 vs 1 + 2*q + q^2", ""),
     ("P8.2", {"order": 3, "max_n": 3}, "part_count_rhs_series", (3,), bump(2), None,
      "part-sum display, x^2: 4 vs 5", ""),
@@ -254,10 +256,16 @@ FAULTS = [
 ]
 
 
+# The cycle_index_sums rows fault one entry of the pair, the alternating sum,
+# and are named for that one sum.
+ID_NAMES = {"cycle_index_sums": "cycle_index_sum"}
+
+
 def fault_ids(rows):
     """check-name, with -2, -3, ... on the second and later rows of a pair."""
     seen = Counter()
     for check_id, _, name, *_ in rows:
+        name = ID_NAMES.get(name, name)
         seen[check_id, name] += 1
         yield f"{check_id}-{name}" + (f"-{seen[check_id, name]}" if seen[check_id, name] > 1 else "")
 

@@ -17,7 +17,7 @@ from hooklab.errors import ExponentOverflow, NotSquare
 from hooklab.harness import run_check
 from hooklab.identities import (
     arm_zero_sum,
-    cycle_index_sum,
+    cycle_index_sums,
     det_bareiss,
     equivalence_classes_D,
     hook_falling_factorial_moment,
@@ -28,7 +28,8 @@ from hooklab.identities import (
     leg_zero_sum,
     linear_product_series,
     linear_product_sum,
-    marked_power_rhs_series,
+    marked_hook_rhs_series,
+    marked_part_rhs_series,
     max_unit_hooks,
     multiplicity_binomial_sum,
     partition_gf,
@@ -46,8 +47,8 @@ from hooklab.identities import (
     squares_total,
     surd_hook_factor,
     thm95_series,
-    top_hook_series,
-    unit_hook_series,
+    top_hook_polynomial,
+    triangular_series,
 )
 from hooklab.multipoly import EXP_LIMIT, MultiPoly, ONE, RatFunc
 from hooklab.partitions import (
@@ -58,7 +59,7 @@ from hooklab.partitions import (
     partition_list,
     rr_sets,
 )
-from hooklab.series import TruncatedSeries, binomial_poly
+from hooklab.series import TruncatedSeries, binomial_poly, geometric
 
 T = MultiPoly.var("t")
 Q = MultiPoly.var("q")
@@ -288,7 +289,7 @@ def test_linear_series_matches_generic_product_series():
     factors, power, cell_weight = PORTED_WEIGHTS["C6.2a"]
     got = linear_product_series(8, factors, power)
     want = TruncatedSeries(8, [_cell_product_sum(n, cell_weight) for n in range(9)])
-    assert got.first_difference(want) is None
+    assert got == want
 
 
 def _linear_product_oracle(n, factors, power):
@@ -465,13 +466,15 @@ def test_max_unit_hooks_brute_force():
     assert values[:11] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
     assert [max_unit_hooks(n) for n in range(31)] == values
 
-    fixed = unit_hook_series(30, corrected=True)
+    fixed = (triangular_series(30) - 1) * geometric(30)
     for n in range(31):
         assert fixed.coefficient(n).as_fraction() == values[n]
 
 
 def test_uncorrected_unit_hook_series_overcounts_from_order_two():
-    direct = unit_hook_series(6)
+    tri = triangular_series(6)
+    assert tri == TruncatedSeries(6, [1, 1, 0, 1, 0, 0, 1])
+    direct = tri * geometric(6) * TruncatedSeries.monomial(6, 1)
     assert direct.coefficient(1).as_fraction() == 1
     assert direct.coefficient(2).as_fraction() == 2  # the defect
     assert max_unit_hooks(2) == 1
@@ -492,11 +495,10 @@ def _top_hook_poly(n, gap2_only):
 
 @pytest.mark.parametrize("gap2", [False, True])
 def test_top_hook_series_matches_enumeration(gap2):
-    s = top_hook_series(12, gap2_only=gap2)
+    # the x^n coefficients of P9.1's (gap2) and P9.2's left-hand sides
     for n in range(1, 13):
-        assert s.coefficient(n) == _top_hook_poly(n, gap2)
-    base = s.coefficient(0)
-    assert base.is_zero() if gap2 else base.is_one()
+        family = rr_sets(n)[0] if gap2 else partition_list(n)
+        assert top_hook_polynomial(family) == _top_hook_poly(n, gap2)
 
 
 def test_rr_q_series_against_enumeration():
@@ -518,7 +520,7 @@ def test_rr_q_series_against_enumeration():
 def test_rr_counts_match_products_and_sets():
     count = rr_count_series(20)
     prod = rr_product_series(20)
-    assert count.first_difference(prod) is None
+    assert count == prod
     for n in range(21):
         a_set, b_set = rr_sets(n)
         assert count.coefficient(n).as_fraction() == len(a_set) == len(b_set)
@@ -844,7 +846,7 @@ def test_additive_series_parts_vs_cells():
     # total cell count == total of all parts == n p(n)
     by_cells = hook_sum_series(8, lambda h: 1)
     by_parts = part_sum_series(8, lambda p: p)
-    assert by_cells.first_difference(by_parts) is None
+    assert by_cells == by_parts
     assert [by_cells.coefficient(n) for n in range(9)] == [n * partition_count(n) for n in range(9)]
 
 
@@ -855,13 +857,11 @@ def test_power_sum_series_against_direct_sums():
     for alpha in range(4):
         cases += [
             (power_sum_rhs_series(10, alpha), hook_sum_series, lambda h, a=alpha: Fraction(h**a)),
-            (marked_power_rhs_series(10, alpha, weighted=True),
-             hook_sum_series, lambda h, a=alpha: Q ** (h**a)),
-            (marked_power_rhs_series(10, alpha, weighted=False),
-             part_sum_series, lambda p, a=alpha: Q ** (p**a)),
+            (marked_hook_rhs_series(10, alpha), hook_sum_series, lambda h, a=alpha: Q ** (h**a)),
+            (marked_part_rhs_series(10, alpha), part_sum_series, lambda p, a=alpha: Q ** (p**a)),
         ]
     for rhs, builder, f in cases:
-        assert rhs.first_difference(builder(10, f)) is None, (builder.__name__, rhs)
+        assert rhs == builder(10, f), (builder.__name__, rhs)
 
 
 def test_reciprocal_sums_over_the_census_match_term_by_term_sums():
@@ -979,28 +979,28 @@ def test_newton_sign_reproduces_determinants():
     for n in range(1, 6):
         for _ in range(8):
             m = _random_matrix(rng, n)
-            assert cycle_index_sum(power_traces(m)) == det_cofactor(m)
+            assert cycle_index_sums(power_traces(m))[0] == det_cofactor(m)
 
 
 def test_alternating_sign_flips_with_parity():
     rng = random.Random(11)
     for n in range(1, 6):
         m = _random_matrix(rng, n)
-        alt = cycle_index_sum(power_traces(m), sign_convention="alternating")
+        _, alt = cycle_index_sums(power_traces(m))
         det = det_cofactor(m)
         assert alt == (det if n % 2 else -det)
 
 
-def _fraction_cycle_index_sum(traces, sign_convention):
-    """Oracle: the class sum multiplied out in Fractions, one class at a time."""
+def _fraction_cycle_index_sum(traces, sign):
+    """Oracle: the class sum multiplied out in Fractions, one class at a time;
+    sign(n, cycles) is the exponent of -1."""
     n = len(traces)
     total = Fraction(0)
     for lam in partition_list(n):
         prod = Fraction(1)
         for j in lam.parts:
             prod *= traces[j - 1]
-        exponent = n - len(lam) if sign_convention == "newton" else len(lam) - 1
-        total += (-1) ** exponent * lam.class_size * prod
+        total += (-1) ** sign(n, len(lam)) * lam.class_size * prod
     return total / math.factorial(n)
 
 
@@ -1009,10 +1009,10 @@ def test_cycle_index_sum_matches_fraction_class_sum():
     for n in range(8):
         for _ in range(6):
             traces = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)]
-            for convention in ("newton", "alternating"):
-                got = cycle_index_sum(traces, sign_convention=convention)
-                assert got == _fraction_cycle_index_sum(traces, convention)
-                assert type(got) is Fraction
+            newton, alternating = cycle_index_sums(traces)
+            assert newton == _fraction_cycle_index_sum(traces, lambda n, c: n - c)
+            assert alternating == _fraction_cycle_index_sum(traces, lambda n, c: c - 1)
+            assert type(newton) is type(alternating) is Fraction
 
 
 def _fraction_power_traces(m):
@@ -1048,7 +1048,7 @@ def test_power_traces_match_fraction_matrix_powers():
 
 def test_p71_computes_each_matrix_power_once(monkeypatch):
     # 50 matrices of sizes 1..6 need 126 products for M^2..M^n in all; the
-    # two sign conventions share one list of power traces per matrix.
+    # two sums share one list of power traces per matrix.
     import hooklab.identities as identities
     from hooklab.harness import run_check
 
@@ -1066,5 +1066,3 @@ def test_determinant_error_paths():
         det_bareiss([])
     with pytest.raises(NotSquare):
         power_traces([])
-    with pytest.raises(ValueError):
-        cycle_index_sum([Fraction(1)], sign_convention="upside")

@@ -30,7 +30,7 @@ def _product_of_roots(roots):
     )
 )
 def test_distinct_negative_roots_fully_counted(roots):
-    rep = sturm_analysis(_product_of_roots(roots), "t")
+    rep = sturm_analysis(_product_of_roots(roots))
     assert rep.real_root_count == len(roots)
     assert rep.all_roots_simple
     assert rep.all_roots_negative
@@ -45,13 +45,13 @@ def test_distinct_negative_roots_fully_counted(roots):
     )
 )
 def test_signs_of_roots_detected(roots):
-    rep = sturm_analysis(_product_of_roots(roots), "t")
+    rep = sturm_analysis(_product_of_roots(roots))
     assert rep.real_root_count == len(roots)
     assert rep.all_roots_negative == all(r < 0 for r in roots)
 
 
 def test_repeated_root_flagged():
-    rep = sturm_analysis((T + 1) ** 2 * (T + 2), "t")
+    rep = sturm_analysis((T + 1) ** 2 * (T + 2))
     assert rep.real_root_count == 2  # distinct roots
     assert not rep.all_roots_simple
     assert rep.all_roots_negative
@@ -59,14 +59,14 @@ def test_repeated_root_flagged():
 
 def test_complex_pair_lowers_the_count():
     # (t^2 + t + 1) has no real roots
-    rep = sturm_analysis((T**2 + T + 1) * (T + 3), "t")
+    rep = sturm_analysis((T**2 + T + 1) * (T + 3))
     assert rep.real_root_count == 1
     assert rep.all_roots_simple
     assert rep.all_roots_negative
 
 
 def test_zero_root_is_not_negative():
-    rep = sturm_analysis(T * (T + 1), "t")
+    rep = sturm_analysis(T * (T + 1))
     assert rep.real_root_count == 2
     assert not rep.all_roots_negative
 
@@ -85,7 +85,7 @@ def test_scaling_is_irrelevant():
     ]
     for p, report in cases:
         for scale in (1, Fraction(3, 7), -1, Fraction(-5, 2)):
-            assert sturm_analysis(p * scale, "t") == report
+            assert sturm_analysis(p * scale) == report
 
 
 def test_eulerian_polynomials_are_real_rooted():
@@ -93,18 +93,18 @@ def test_eulerian_polynomials_are_real_rooted():
     for n in range(1, 9):
         for poly in (eulerian_A(n), eulerian_B(n)):
             deg = max(poly.as_univariate("t"))
-            rep = sturm_analysis(poly, "t")
+            rep = sturm_analysis(poly)
             assert rep.real_root_count == deg
             assert rep.all_roots_simple
             assert rep.all_roots_negative
 
 
 def test_unimodal_scans():
-    assert unimodal(ONE + 2 * T + 3 * T**2 + T**3, "t")
-    assert unimodal((ONE + T) ** 6, "t")
-    assert not unimodal(ONE + T**2, "t")  # internal zero dips
-    assert not unimodal(2 + T + 2 * T**2, "t")
-    assert unimodal(MultiPoly.const(5), "t")
+    assert unimodal(ONE + 2 * T + 3 * T**2 + T**3)
+    assert unimodal((ONE + T) ** 6)
+    assert not unimodal(ONE + T**2)  # internal zero dips
+    assert not unimodal(2 + T + 2 * T**2)
+    assert unimodal(MultiPoly.const(5))
 
 
 def test_hook_square_root_census_against_sympy():
@@ -128,7 +128,7 @@ def test_hook_square_root_census_against_sympy():
         theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
         assert ours.dense_coeffs("t") == theirs
         count = p.count_roots()
-        assert count == sturm_analysis(ours, "t").real_root_count
+        assert count == sturm_analysis(ours).real_root_count
         census[n] = (count, p.degree())
     assert census[9] == (9, 9)
     # the only non-real-rooted P_n up to n = 12: one conjugate pair each
@@ -156,7 +156,7 @@ def test_sturm_report_against_sympy(factors, scale):
         p = p * f
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.dense_coeffs("t"))]
     theirs = sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ")
-    rep = sturm_analysis(p, "t")
+    rep = sturm_analysis(p)
     real = theirs.count_roots()
     # count_roots(None, 0) counts the closed interval (-inf, 0]
     negatives = theirs.count_roots(None, 0) - (theirs.eval(0) == 0)
